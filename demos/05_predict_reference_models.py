@@ -7,7 +7,6 @@ demo table (which carries its own true summaries for comparison).
 """
 from benchsel import fixtures
 from benchsel.data import load_scores_with_values
-from benchsel.linreg import load_model
 from benchsel.predict import make_report, predict_summary, rebase_scores
 
 norms = fixtures.load_normalization()

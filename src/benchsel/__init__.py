@@ -40,11 +40,13 @@ from .linreg import (
     cross_validated_mse,
     fit_nnls,
     fit_ols,
+    predict_linear,
+    r_squared,
+)
+from .formats import (
     load_model,
     model_from_dict,
     model_to_dict,
-    predict_linear,
-    r_squared,
     save_model,
 )
 from .search import (

@@ -5,15 +5,14 @@ subset-score predictions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .data import PreparedDataset, canonical_key
-from .errors import DegenerateDataError, SchemaError, ValidationError
+from .data import PreparedDataset, canonical_key, read_csv_rows
+from .errors import DegenerateDataError, ValidationError
 from .linreg import fit_ols
 
 MIN_PAIR_COUNT = 3
@@ -309,14 +308,7 @@ def export_dot(pairs, categories: dict[str, str] | None = None) -> str:
 
 def load_categories(path) -> dict[str, str]:
     """Read the category sidecar CSV: header ``environment,category``."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip().casefold() for c in rows[0][:2]] != \
-            ["environment", "category"]:
-        raise SchemaError(f"{path}: header must be environment,category")
     out: dict[str, str] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) < 2:
-            raise SchemaError(f"{path}: row {i} has fewer than 2 cells")
+    for _, row in read_csv_rows(path, ("environment", "category")):
         out[row[0].strip()] = row[1].strip()
     return out

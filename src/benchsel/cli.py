@@ -10,9 +10,6 @@ volatile details like wall time) by file name.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
-import math
 import os
 import sys
 import time
@@ -36,11 +33,27 @@ from .data import (
     load_scores_with_values,
     normalize,
     prepare_dataset,
+    summary_statistic,
 )
 from .errors import BenchselError
-from .linreg import load_model, model_to_dict
-from .manifest import RunManifest, checksum_chain, sha256_file
+from .formats import (
+    MANIFEST_NAME,
+    RunManifest,
+    checksum_chain,
+    dumps,
+    fairness_to_dict,
+    load_model,
+    model_to_dict,
+    predictions_to_dict,
+    provenance,
+    sha256_file,
+    suite_to_dict,
+    write_csv,
+    write_json,
+    write_text,
+)
 from .predict import (
+    approx_relative_error_from_log_mae,
     inversion_count,
     make_report,
     predict_summary,
@@ -48,33 +61,23 @@ from .predict import (
 )
 from .search import (
     SearchConfig,
-    bank_to_dict,
     enumerate_and_score,
     nested_pipeline,
     per_game_models,
-    suite_to_dict,
+    resolve_workers,
     variance_explained,
 )
 
-LN10 = math.log(10.0)
+MANIFEST_LINE = f"manifest: {MANIFEST_NAME}"
+REPORT_HEADER = ["algorithm", "predicted", "true", "rel_error",
+                 "abs_rel_error"]
 
 
-def _fmt(value) -> str:
-    """Full-precision, reproducible rendering of a cell value."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _add_io_flags(parser: argparse.ArgumentParser, *, norms_default=True):
+def _add_io_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--scores", required=True,
                         help="raw score CSV (header: algorithm,<env>,...)")
     parser.add_argument("--norms",
-                        default=str(fixtures.normalization_path())
-                        if norms_default else None,
-                        required=not norms_default,
+                        default=str(fixtures.normalization_path()),
                         help="normalization CSV (environment,random,human); "
                              "defaults to the shipped 57-game table")
     parser.add_argument("--out", default="benchsel-out",
@@ -111,24 +114,24 @@ def _split_csv_flag(raw: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-def _gather_multi(values) -> tuple[str, ...]:
-    out: list[str] = []
-    for item in values or ():
-        out.extend(_split_csv_flag(item))
-    return tuple(out)
-
-
 def _load_dataset(args):
     ignore = _split_csv_flag(args.ignore_columns)
     table, _ = load_scores_with_values(args.scores, ignore)
-    norms = load_norms(args.norms)
-    dataset = prepare_dataset(table, norms,
-                              min_games=args.min_games,
-                              min_algorithms=args.min_algos,
-                              target_stat=args.target)
+    return prepare_dataset(table, load_norms(args.norms),
+                           min_games=args.min_games,
+                           min_algorithms=args.min_algos,
+                           target_stat=args.target)
+
+
+def _checksums(args, model_path=None) -> dict[str, str]:
+    """Checksums of the command's inputs, in checksum-chain order."""
     checksums = {"scores": sha256_file(args.scores),
                  "norms": sha256_file(args.norms)}
-    return dataset, norms, checksums
+    if model_path is not None:
+        checksums["model"] = sha256_file(model_path)
+    if getattr(args, "categories", None):
+        checksums["categories"] = sha256_file(args.categories)
+    return checksums
 
 
 def _progress_for(args):
@@ -137,26 +140,9 @@ def _progress_for(args):
     return None  # module default: one stderr line per million candidates
 
 
-def _write_manifest(args, command, checksums, *, seed=None, started=None,
-                    workers=None, notes=None) -> RunManifest:
-    manifest = RunManifest(
-        command=command,
-        config={k: v for k, v in sorted(vars(args).items())
-                if k not in ("func",)},
-        input_checksums=checksums,
-        seed=seed,
-        tool_version=__version__,
-        wall_time_s=None if started is None else round(time.time() - started, 3),
-        workers=workers,
-        notes=notes or {},
-    )
-    manifest.save(os.path.join(args.out, "manifest.json"))
-    return manifest
-
-
 def _model_summary_row(name, subset, model):
     approx = (None if model.stats.log_mae is None
-              else LN10 * model.stats.log_mae)
+              else approx_relative_error_from_log_mae(model.stats.log_mae))
     return {
         "name": name,
         "games": list(subset),
@@ -169,14 +155,13 @@ def _model_summary_row(name, subset, model):
 # ---------------------------------------------------------------------------
 # search
 
-def cmd_search(args) -> int:
-    started = time.time()
-    os.makedirs(args.out, exist_ok=True)
-    dataset, _, checksums = _load_dataset(args)
+def cmd_search(args) -> dict:
+    dataset = _load_dataset(args)
+    checksums = _checksums(args)
     config = SearchConfig(
         subset_size=args.size,
-        must_include=_gather_multi(args.include),
-        exclude=_gather_multi(args.exclude),
+        must_include=_split_csv_flag(",".join(args.include)),
+        exclude=_split_csv_flag(",".join(args.exclude)),
         folds=args.folds,
         seed=args.seed,
         with_intercept=args.intercept,
@@ -186,68 +171,52 @@ def cmd_search(args) -> int:
                                  progress=_progress_for(args))
 
     ranked_path = os.path.join(args.out, "ranked.csv")
-    with open(ranked_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# benchsel search ranking\n")
-        fh.write(f"# inputs: {checksum_chain(checksums)}\n")
-        fh.write(f"# config: size={args.size} folds={args.folds} "
-                 f"seed={args.seed} intercept={args.intercept} "
-                 f"target={args.target}\n")
-        fh.write(f"# candidates: total={result.total_candidates} "
-                 f"scored={result.scored} "
-                 f"skipped_rows={result.skipped_insufficient_rows} "
-                 f"skipped_singular={result.skipped_singular}\n")
-        fh.write("# manifest: manifest.json\n")
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "cv_mse", "r_squared", "n_algorithms",
-                         "environments"])
-        for rank, cand in enumerate(result.ranked, start=1):
-            writer.writerow([rank, _fmt(cand.cv_mse),
-                             _fmt(cand.model.stats.r_squared),
-                             cand.n_algorithms_used,
-                             " | ".join(cand.subset)])
+    write_csv(ranked_path, [
+        "benchsel search ranking",
+        f"inputs: {checksum_chain(checksums)}",
+        f"config: size={args.size} folds={args.folds} seed={args.seed} "
+        f"intercept={args.intercept} target={args.target}",
+        f"candidates: total={result.total_candidates} "
+        f"scored={result.scored} "
+        f"skipped_rows={result.skipped_insufficient_rows} "
+        f"skipped_singular={result.skipped_singular}",
+        MANIFEST_LINE,
+    ], ["rank", "cv_mse", "r_squared", "n_algorithms", "environments"], [
+        (rank, cand.cv_mse, cand.model.stats.r_squared,
+         cand.n_algorithms_used, " | ".join(cand.subset))
+        for rank, cand in enumerate(result.ranked, start=1)])
 
     best = result.best
-    with open(os.path.join(args.out, "best_model.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(model_to_dict(best.model, name=f"best-of-size-{args.size}",
-                                norms_checksum=checksums["norms"],
-                                extra={"input_checksums": checksums,
-                                       "manifest": "manifest.json",
-                                       "target_stat": args.target,
-                                       "seed": args.seed,
-                                       "folds": args.folds,
-                                       "n_algorithms_used":
-                                           best.n_algorithms_used}),
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    name = f"best-of-size-{args.size}"
+    write_json(os.path.join(args.out, "best_model.json"), model_to_dict(
+        best.model, name=name, norms_checksum=checksums["norms"],
+        extra={**provenance(checksums), "target_stat": args.target,
+               "seed": args.seed, "folds": args.folds,
+               "n_algorithms_used": best.n_algorithms_used}))
 
-    _write_manifest(args, "search", checksums, seed=args.seed,
-                    started=started, workers=args.threads,
-                    notes=result.skip_stats)
-    summary = _model_summary_row(f"best-of-size-{args.size}", best.subset,
-                                 best.model)
-    summary["cv_mse"] = best.cv_mse
+    summary = _model_summary_row(name, best.subset, best.model)
     summary["skip_stats"] = result.skip_stats
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(dumps(summary))
     elif not args.quiet:
         print(f"best size-{args.size} subset: {', '.join(best.subset)}")
         print(f"  cv_mse={best.cv_mse:.6g}  "
               f"r_squared={best.model.stats.r_squared:.4f}  "
               f"algorithms={best.n_algorithms_used}")
         print(f"wrote {ranked_path}")
-    return 0
+    return {"input_checksums": checksums, "seed": args.seed,
+            "workers": resolve_workers(args.threads),
+            "notes": result.skip_stats}
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 
-def cmd_pipeline(args) -> int:
-    started = time.time()
-    os.makedirs(args.out, exist_ok=True)
+def cmd_pipeline(args) -> dict:
     os.makedirs(os.path.join(args.out, "models"), exist_ok=True)
     os.makedirs(os.path.join(args.out, "banks"), exist_ok=True)
-    dataset, _, checksums = _load_dataset(args)
+    dataset = _load_dataset(args)
+    checksums = _checksums(args)
     suite = nested_pipeline(dataset, folds=args.folds, seed=args.seed,
                             threads=args.threads,
                             progress=_progress_for(args))
@@ -256,33 +225,18 @@ def cmd_pipeline(args) -> int:
     explained = {name: variance_explained(bank, dataset)
                  for name, bank in suite.banks.items()}
 
+    # The per-model and per-bank files repeat the suite's entries.
     suite_doc = suite_to_dict(suite, norms_checksum=checksums["norms"])
-    suite_doc["input_checksums"] = checksums
-    suite_doc["manifest"] = "manifest.json"
-    suite_doc["variance_explained"] = explained
-    with open(os.path.join(args.out, "suite.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(suite_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, cand in sorted(suite.models.items()):
-        with open(os.path.join(args.out, "models", f"{name}.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(model_to_dict(cand.model, name=name,
-                                    norms_checksum=checksums["norms"],
-                                    extra={"input_checksums": checksums,
-                                           "manifest": "manifest.json",
-                                           "cv_mse": cand.cv_mse}),
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    for name, bank in sorted(suite.banks.items()):
-        bank_doc = bank_to_dict(bank, name=name,
-                                norms_checksum=checksums["norms"])
-        bank_doc["input_checksums"] = checksums
-        bank_doc["manifest"] = "manifest.json"
-        with open(os.path.join(args.out, "banks", f"{name}.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(bank_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_json(os.path.join(args.out, "suite.json"), {
+        **suite_doc, **provenance(checksums),
+        "variance_explained": explained})
+    for name, entry in suite_doc["models"].items():
+        write_json(os.path.join(args.out, "models", f"{name}.json"), {
+            **entry["model"], **provenance(checksums),
+            "cv_mse": entry["cv_mse"]})
+    for name, bank_doc in suite_doc["banks"].items():
+        write_json(os.path.join(args.out, "banks", f"{name}.json"),
+                   {**bank_doc, **provenance(checksums)})
 
     rows = [_model_summary_row(name, suite.subset(name),
                                suite.models[name].model)
@@ -293,7 +247,7 @@ def cmd_pipeline(args) -> int:
     lines = [f"# inputs: {checksum_chain(checksums)}",
              f"# seed: {args.seed}  folds: {args.folds}  "
              f"target: {args.target}",
-             "# manifest: manifest.json",
+             f"# {MANIFEST_LINE}",
              f"{'name':<{name_w}}  {'games':<{games_w}}  "
              f"{'r_squared':>9}  {'approx_rel_err':>14}"]
     for r in rows:
@@ -305,52 +259,69 @@ def cmd_pipeline(args) -> int:
         lines.append(f"variance explained ({name} bank): "
                      f"{explained[name]:.1%}")
     summary_text = "\n".join(lines) + "\n"
-    with open(os.path.join(args.out, "summary.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(summary_text)
-    with open(os.path.join(args.out, "summary.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "games", "r_squared", "cv_mse",
-                         "approx_rel_err"])
-        for r in rows:
-            writer.writerow([r["name"], " | ".join(r["games"]),
-                             _fmt(r["r_squared"]), _fmt(r["cv_mse"]),
-                             _fmt(r["approx_rel_err"])])
+    write_text(os.path.join(args.out, "summary.txt"), summary_text)
+    write_csv(os.path.join(args.out, "summary.csv"), (),
+              ["name", "games", "r_squared", "cv_mse", "approx_rel_err"],
+              [(r["name"], " | ".join(r["games"]), r["r_squared"],
+                r["cv_mse"], r["approx_rel_err"]) for r in rows])
 
-    _write_manifest(args, "pipeline", checksums, seed=args.seed,
-                    started=started, workers=args.threads,
-                    notes={"skip_stats": suite.skip_stats})
     if args.json:
-        print(json.dumps({"models": rows, "variance_explained": explained},
-                         indent=2, sort_keys=True))
+        print(dumps({"models": rows, "variance_explained": explained}))
     elif not args.quiet:
         print(summary_text, end="")
-    return 0
+    return {"input_checksums": checksums, "seed": args.seed,
+            "workers": resolve_workers(args.threads),
+            "notes": {"skip_stats": suite.skip_stats}}
 
 
 # ---------------------------------------------------------------------------
 # predict
 
-def _resolve_model_path(name_or_path: str) -> str:
-    if os.path.exists(name_or_path):
-        return name_or_path
-    if name_or_path in fixtures.SUBSET_MODEL_NAMES:
-        return str(fixtures.subset_model_path(name_or_path))
-    raise BenchselError(
-        f"model {name_or_path!r} is neither a file nor a shipped reference "
-        f"model ({', '.join(fixtures.SUBSET_MODEL_NAMES)})")
+def _load_model(name_or_path: str):
+    """(model, document, path) of a model file or shipped reference model."""
+    path = name_or_path
+    if not os.path.exists(path):
+        if name_or_path not in fixtures.SUBSET_MODEL_NAMES:
+            raise BenchselError(
+                f"model {name_or_path!r} is neither a file nor a shipped "
+                f"reference model ({', '.join(fixtures.SUBSET_MODEL_NAMES)})")
+        path = str(fixtures.subset_model_path(name_or_path))
+    model, doc = load_model(path)
+    return model, doc, path
 
 
-def cmd_predict(args) -> int:
-    started = time.time()
-    os.makedirs(args.out, exist_ok=True)
-    model_path = _resolve_model_path(args.model)
-    model, model_doc = load_model(model_path)
+def _predict_rows(model, table, norms):
+    """Predict every row of a raw score table.
+
+    Returns ``[(algorithm, predicted, model inputs used)]`` for the rows
+    that could be predicted and ``{algorithm: error message}`` for the rest.
+    """
+    model_keys = {canonical_key(e) for e in model.environment_ids}
+    used = {e for e in table.environment_ids if canonical_key(e) in model_keys}
+    predicted, errors = [], {}
+    for algorithm, scores in zip(table.algorithm_ids, table.scores):
+        raw_row = {env: float(x)
+                   for env, x in zip(table.environment_ids, scores)
+                   if not np.isnan(x)}
+        try:
+            value = predict_summary(model, raw_row, norms)
+        except BenchselError as exc:
+            errors[algorithm] = str(exc)
+            continue
+        predicted.append((algorithm, value, {
+            env: x for env, x in raw_row.items() if env in used}))
+    return predicted, errors
+
+
+def _report_row(r):
+    return (r.algorithm_id, r.predicted_summary, r.true_summary,
+            r.relative_error, r.abs_relative_error)
+
+
+def cmd_predict(args) -> dict:
+    model, model_doc, model_path = _load_model(args.model)
     norms = load_norms(args.norms)
-    checksums = {"scores": sha256_file(args.scores),
-                 "norms": sha256_file(args.norms),
-                 "model": sha256_file(model_path)}
+    checksums = _checksums(args, model_path)
 
     embedded = model_doc.get("norms_checksum")
     if embedded and embedded != checksums["norms"]:
@@ -364,38 +335,14 @@ def cmd_predict(args) -> int:
     value_columns = (args.true_summary,) if args.true_summary else ()
     table, values = load_scores_with_values(args.scores, value_columns)
     truths = values.get(args.true_summary, {}) if args.true_summary else {}
-
-    reports = []
-    row_errors: dict[str, str] = {}
-    model_keys = {canonical_key(e) for e in model.environment_ids}
-    for i, algorithm in enumerate(table.algorithm_ids):
-        raw_row = {env: float(x)
-                   for env, x in zip(table.environment_ids, table.scores[i])
-                   if not np.isnan(x)}
-        try:
-            predicted = predict_summary(model, raw_row, norms)
-        except BenchselError as exc:
-            row_errors[algorithm] = str(exc)
-            continue
-        inputs = {env: value for env, value in raw_row.items()
-                  if canonical_key(env) in model_keys}
-        reports.append(make_report(algorithm, predicted,
-                                   true_summary=truths.get(algorithm),
-                                   inputs_used=inputs))
-
-    def write_report_csv(path, rows):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# inputs: {checksum_chain(checksums)}\n")
-            fh.write("# manifest: manifest.json\n")
-            writer = csv.writer(fh)
-            writer.writerow(["algorithm", "predicted", "true", "rel_error",
-                             "abs_rel_error"])
-            for r in rows:
-                writer.writerow([r.algorithm_id, _fmt(r.predicted_summary),
-                                 _fmt(r.true_summary), _fmt(r.relative_error),
-                                 _fmt(r.abs_relative_error)])
-
-    write_report_csv(os.path.join(args.out, "predictions.csv"), reports)
+    predicted, row_errors = _predict_rows(model, table, norms)
+    reports = [make_report(algorithm, value,
+                           true_summary=truths.get(algorithm),
+                           inputs_used=inputs)
+               for algorithm, value, inputs in predicted]
+    preamble = [f"inputs: {checksum_chain(checksums)}", MANIFEST_LINE]
+    write_csv(os.path.join(args.out, "predictions.csv"), preamble,
+              REPORT_HEADER, map(_report_row, reports))
 
     inversions = None
     scored = [r for r in reports if r.true_summary is not None]
@@ -409,42 +356,17 @@ def cmd_predict(args) -> int:
     rebased = None
     if args.baseline:
         rebased = rebase_scores(reports, args.baseline)
-        write_report_csv(os.path.join(args.out, "rebased.csv"), rebased)
+        write_csv(os.path.join(args.out, "rebased.csv"), preamble,
+                  REPORT_HEADER, map(_report_row, rebased))
 
-    detail = {
-        "format": "benchsel-predictions/1",
-        "model": model_doc.get("name"),
-        "input_checksums": checksums,
-        "manifest": "manifest.json",
-        "inversion_count": inversions,
-        "baseline": args.baseline,
-        "row_errors": dict(sorted(row_errors.items())),
-        "reports": [
-            {"algorithm": r.algorithm_id,
-             "predicted": r.predicted_summary,
-             "true": r.true_summary,
-             "rel_error": r.relative_error,
-             "inputs_used": r.inputs_used}
-            for r in reports
-        ],
-        "rebased": None if rebased is None else [
-            {"algorithm": r.algorithm_id,
-             "predicted": r.predicted_summary,
-             "true": r.true_summary,
-             "rel_error": r.relative_error}
-            for r in rebased
-        ],
-    }
-    with open(os.path.join(args.out, "predictions.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(detail, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    detail = predictions_to_dict(
+        reports, model_name=model_doc.get("name"), checksums=checksums,
+        inversions=inversions, baseline=args.baseline,
+        row_errors=row_errors, rebased=rebased)
+    write_json(os.path.join(args.out, "predictions.json"), detail)
 
-    _write_manifest(args, "predict", checksums, started=started,
-                    notes={"rows": len(reports),
-                           "row_errors": len(row_errors)})
     if args.json:
-        print(json.dumps(detail, indent=2, sort_keys=True))
+        print(dumps(detail))
     elif not args.quiet:
         for r in reports:
             line = f"{r.algorithm_id}: predicted {r.predicted_summary:.1f}"
@@ -458,89 +380,68 @@ def cmd_predict(args) -> int:
             print(f"{algorithm}: skipped ({message})")
         if inversions is not None:
             print(f"ranking inversions vs truth: {inversions}")
-    return 0
+    return {"input_checksums": checksums,
+            "notes": {"rows": len(reports), "row_errors": len(row_errors)}}
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
-def cmd_analyze_rank_single(args) -> int:
-    started = time.time()
-    os.makedirs(args.out, exist_ok=True)
-    dataset, _, checksums = _load_dataset(args)
+def cmd_analyze_rank_single(args) -> dict:
+    dataset = _load_dataset(args)
+    checksums = _checksums(args)
     ranking = rank_single_games(dataset)
     path = os.path.join(args.out, "single_games.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# inputs: {checksum_chain(checksums)}\n")
-        fh.write("# manifest: manifest.json\n")
-        fh.write("# least predictive first\n")
-        writer = csv.writer(fh)
-        writer.writerow(["environment", "slope", "intercept", "r_squared",
-                         "n_algorithms"])
-        for f in ranking.ranked:
-            writer.writerow([f.environment, _fmt(f.slope), _fmt(f.intercept),
-                             _fmt(f.r_squared), f.n_algorithms])
-    _write_manifest(args, "analyze rank-single", checksums, started=started,
-                    notes={"flagged": ranking.flagged})
+    write_csv(path, [f"inputs: {checksum_chain(checksums)}", MANIFEST_LINE,
+                     "least predictive first"],
+              ["environment", "slope", "intercept", "r_squared",
+               "n_algorithms"],
+              [(f.environment, f.slope, f.intercept, f.r_squared,
+                f.n_algorithms) for f in ranking.ranked])
     if args.json:
-        print(json.dumps([f.__dict__ for f in ranking.ranked], indent=2))
+        print(dumps([f.__dict__ for f in ranking.ranked], sort_keys=False))
     elif not args.quiet:
         best = ranking.ranked[-1] if ranking.ranked else None
         if best:
             print(f"most predictive single game: {best.environment} "
                   f"(r_squared={best.r_squared:.3f})")
         print(f"wrote {path}")
-    return 0
+    return {"input_checksums": checksums,
+            "notes": {"flagged": ranking.flagged}}
 
 
-def cmd_analyze_correlate(args) -> int:
-    started = time.time()
-    os.makedirs(args.out, exist_ok=True)
-    dataset, _, checksums = _load_dataset(args)
-    categories = None
-    if args.categories:
-        categories = load_categories(args.categories)
-        checksums["categories"] = sha256_file(args.categories)
+def cmd_analyze_correlate(args) -> dict:
+    dataset = _load_dataset(args)
+    categories = load_categories(args.categories) if args.categories else None
+    checksums = _checksums(args)
     graph = pearson_matrix(dataset, categories)
     pairs = correlated_pairs(graph, threshold=args.threshold, top_n=args.top)
     path = os.path.join(args.out, "pairs.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# inputs: {checksum_chain(checksums)}\n")
-        fh.write(f"# threshold: {args.threshold}\n")
-        fh.write("# manifest: manifest.json\n")
-        writer = csv.writer(fh)
-        writer.writerow(["env_a", "env_b", "pcc", "n_algorithms",
-                         "highly_correlated"])
-        for p in pairs:
-            writer.writerow([p.env_a, p.env_b, _fmt(p.pcc), p.n_pairs,
-                             p.highly_correlated])
+    write_csv(path, [f"inputs: {checksum_chain(checksums)}",
+                     f"threshold: {args.threshold}", MANIFEST_LINE],
+              ["env_a", "env_b", "pcc", "n_algorithms", "highly_correlated"],
+              [(p.env_a, p.env_b, p.pcc, p.n_pairs, p.highly_correlated)
+               for p in pairs])
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(pairs, categories))
-    _write_manifest(args, "analyze correlate", checksums, started=started)
+        write_text(args.dot, export_dot(pairs, categories))
     if args.json:
-        print(json.dumps([p.__dict__ for p in pairs], indent=2))
+        print(dumps([p.__dict__ for p in pairs], sort_keys=False))
     elif not args.quiet:
         if pairs:
             top = pairs[0]
             print(f"most correlated pair: {top.env_a} / {top.env_b} "
                   f"(pcc={top.pcc:.3f})")
         print(f"wrote {path}")
-    return 0
+    return {"input_checksums": checksums}
 
 
-def cmd_analyze_fairness(args) -> int:
-    started = time.time()
-    os.makedirs(args.out, exist_ok=True)
-    model_path = _resolve_model_path(args.model)
-    model, _ = load_model(model_path)
+def cmd_analyze_fairness(args) -> dict:
+    model, _, model_path = _load_model(args.model)
     norms = load_norms(args.norms)
     ignore = _split_csv_flag(args.ignore_columns)
     value_columns = ((args.true_summary,) if args.true_summary else ()) + ignore
     table, values = load_scores_with_values(args.scores, value_columns)
-    checksums = {"scores": sha256_file(args.scores),
-                 "norms": sha256_file(args.norms),
-                 "model": sha256_file(model_path)}
+    checksums = _checksums(args, model_path)
 
     if args.true_summary:
         truths = values[args.true_summary]
@@ -548,50 +449,18 @@ def cmd_analyze_fairness(args) -> int:
         # True summaries from the table itself: the target statistic over
         # each algorithm's present normalized scores.
         filtered = filter_dataset(table, args.min_games, 1)
-        normalized = normalize(filtered, norms)
-        reduce = np.nanmedian if args.target == "median" else np.nanmean
-        truths = {a: float(reduce(normalized[i]))
-                  for i, a in enumerate(filtered.algorithm_ids)}
+        statistic = summary_statistic(normalize(filtered, norms), args.target)
+        truths = dict(zip(filtered.algorithm_ids, statistic.tolist()))
 
-    reports = []
-    for i, algorithm in enumerate(table.algorithm_ids):
-        raw_row = {env: float(x)
-                   for env, x in zip(table.environment_ids, table.scores[i])
-                   if not np.isnan(x)}
-        try:
-            predicted = predict_summary(model, raw_row, norms)
-        except BenchselError:
-            continue
-        if truths.get(algorithm) is None:
-            continue
-        reports.append(make_report(algorithm, predicted,
-                                   true_summary=truths[algorithm]))
-
+    predicted, _ = _predict_rows(model, table, norms)
+    reports = [make_report(algorithm, value, true_summary=truths[algorithm])
+               for algorithm, value, _ in predicted
+               if truths.get(algorithm) is not None]
     report = fairness_report(reports, alpha=args.alpha)
-    doc = {
-        "format": "benchsel-fairness/1",
-        "alpha": report.alpha,
-        "input_checksums": checksums,
-        "manifest": "manifest.json",
-        "groups": {
-            name: {"algorithms": list(g.algorithm_ids),
-                   "mean_abs_rel_error": g.mean_abs_rel_error,
-                   "mean_rel_error": g.mean_rel_error}
-            for name, g in report.groups.items()
-        },
-        "pairwise": {
-            f"{a}-vs-{b}": t.__dict__
-            for (a, b), t in report.pairwise.items()
-        },
-        "any_significant": report.any_significant,
-    }
-    path = os.path.join(args.out, "fairness.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args, "analyze fairness", checksums, started=started)
+    doc = fairness_to_dict(report, checksums)
+    write_json(os.path.join(args.out, "fairness.json"), doc)
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(dumps(doc))
     elif not args.quiet:
         for name in ("low", "mid", "high"):
             g = report.groups[name]
@@ -601,7 +470,7 @@ def cmd_analyze_fairness(args) -> int:
         verdict = ("differences detected" if report.any_significant
                    else "no significant differences")
         print(f"{verdict} at p={report.alpha}")
-    return 0
+    return {"input_checksums": checksums}
 
 
 # ---------------------------------------------------------------------------
@@ -699,14 +568,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command,
+                                     getattr(args, "analysis", None))))
     try:
-        return args.func(args)
-    except BenchselError as exc:
-        print(f"benchsel: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        started = time.time()
+        os.makedirs(args.out, exist_ok=True)
+        run = args.func(args)  # input checksums, seed, workers, notes
+        RunManifest(
+            command=command,
+            config={k: v for k, v in sorted(vars(args).items())
+                    if k != "func"},
+            tool_version=__version__,
+            wall_time_s=round(time.time() - started, 3),
+            **run,
+        ).save(os.path.join(args.out, MANIFEST_NAME))
+        return 0
+    except (BenchselError, OSError) as exc:
         print(f"benchsel: error: {exc}", file=sys.stderr)
         return 1
     except Exception:

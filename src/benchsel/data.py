@@ -51,6 +51,11 @@ class NormEntry(NamedTuple):
     random: float
     human: float
 
+    def normalize(self, x):
+        """Z = 100 * (x - random) / (human - random); dividing before
+        scaling lands the references exactly on 0 and 100."""
+        return (x - self.random) / (self.human - self.random) * 100.0
+
 
 @dataclass(frozen=True)
 class RawScoreTable:
@@ -74,7 +79,7 @@ class RawScoreTable:
                 f"score matrix is {scores.shape}, expected ({m}, {n})")
         if len(set(self.algorithm_ids)) != m:
             raise ValidationError("duplicate algorithm id in score table")
-        _check_unique_environments(self.environment_ids)
+        _environment_index(self.environment_ids)
         if np.isinf(scores).any():
             raise ValidationError("score table contains non-finite entries")
         if self.provenance is not None and len(self.provenance) != m:
@@ -169,7 +174,8 @@ class PreparedDataset:
             raise ValidationError(f"target_stat must be one of {TARGET_STATS}")
         if len(set(self.algorithm_ids)) != m:
             raise ValidationError("duplicate algorithm id in prepared dataset")
-        _check_unique_environments(self.environment_ids)
+        object.__setattr__(self, "_columns",
+                           _environment_index(self.environment_ids))
         present = ~np.isnan(log_scores)
         with np.errstate(invalid="ignore"):
             if bool((log_scores[present] < 0).any()):
@@ -202,11 +208,11 @@ class PreparedDataset:
         return len(self.environment_ids)
 
     def environment_index(self, environment: str) -> int:
-        key = canonical_key(environment)
-        for j, name in enumerate(self.environment_ids):
-            if canonical_key(name) == key:
-                return j
-        raise EnvironmentLookupError(environment)
+        """Column of an environment, matched by canonical key."""
+        try:
+            return self._columns[canonical_key(environment)]
+        except KeyError:
+            raise EnvironmentLookupError(environment) from None
 
     def content_hash(self) -> str:
         """Stable hex digest of ids, matrix and targets, for manifests."""
@@ -222,14 +228,49 @@ class PreparedDataset:
         return h.hexdigest()
 
 
-def _check_unique_environments(environment_ids) -> None:
-    seen: dict[str, str] = {}
-    for name in environment_ids:
+def _environment_index(environment_ids) -> dict[str, int]:
+    """Canonical key -> column; raises on two names with one key."""
+    index: dict[str, int] = {}
+    for j, name in enumerate(environment_ids):
         key = canonical_key(name)
-        if key in seen:
-            raise ValidationError(
-                f"duplicate environment: {name!r} collides with {seen[key]!r}")
-        seen[key] = name
+        if key in index:
+            raise ValidationError(f"duplicate environment: {name!r} collides "
+                                  f"with {environment_ids[index[key]]!r}")
+        index[key] = j
+    return index
+
+
+def read_csv_rows(path, header=()) -> list[tuple[int, list[str]]]:
+    """(file line number, cells) of every CSV row with a non-blank cell.
+
+    Blank rows are skipped; line numbers still point into the file. With a
+    ``header``, the first row must start with those names (any case) and is
+    dropped, and every other row must have at least as many cells.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader
+                if any(cell.strip() for cell in row)]
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    if not header:
+        return rows
+    first = [cell.strip().casefold() for cell in rows[0][1][:len(header)]]
+    if first != list(header):
+        raise SchemaError(f"{path}: header must be {','.join(header)}")
+    for i, row in rows[1:]:
+        if len(row) < len(header):
+            raise SchemaError(f"{path}: row {i} has fewer than {len(header)} "
+                              "cells")
+    return rows[1:]
+
+
+def _parse_number(path, line: int, column: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise SchemaError(f"{path}: row {line}, column {column!r}: "
+                          f"cannot parse {cell!r} as a number") from None
 
 
 def load_scores(path) -> RawScoreTable:
@@ -250,11 +291,8 @@ def load_scores_with_values(path, value_columns=()
     (for score files that carry, say, a true-summary column).
     """
     value_keys = {canonical_key(c): c for c in value_columns}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
+    rows = read_csv_rows(path)
+    header = [cell.strip() for cell in rows[0][1]]
     if not header or header[0].casefold() != "algorithm":
         raise SchemaError(f"{path}: first header column must be 'algorithm', "
                           f"got {header[0] if header else ''!r}")
@@ -277,7 +315,7 @@ def load_scores_with_values(path, value_columns=()
         raise SchemaError(f"{path}: no column named {missing_values[0]!r}")
     environment_ids = tuple(name for _, name in env_cols)
     try:
-        _check_unique_environments(environment_ids)
+        _environment_index(environment_ids)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -285,7 +323,7 @@ def load_scores_with_values(path, value_columns=()
     provenance: list[str | None] = []
     values: dict[str, dict] = {c: {} for c in value_cols}
     scores = np.full((len(rows) - 1, len(env_cols)), np.nan)
-    for i, row in enumerate(rows[1:], start=2):
+    for r, (i, row) in enumerate(rows[1:]):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {i} has {len(row)} cells, "
                               f"expected {len(header)}")
@@ -300,24 +338,16 @@ def load_scores_with_values(path, value_columns=()
             if not cell:
                 values[column][name] = None
                 continue
-            try:
-                values[column][name] = float(cell)
-            except ValueError:
-                raise SchemaError(f"{path}: row {i}, column {column!r}: "
-                                  f"cannot parse {cell!r} as a number") from None
+            values[column][name] = _parse_number(path, i, column, cell)
         for k, (j, env) in enumerate(env_cols):
             cell = row[j].strip()
             if not cell:
                 continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise SchemaError(f"{path}: row {i}, column {env!r}: "
-                                  f"cannot parse {cell!r} as a number") from None
+            value = _parse_number(path, i, env, cell)
             if not np.isfinite(value):
                 raise SchemaError(f"{path}: row {i}, column {env!r}: "
                                   f"non-finite score {cell!r}")
-            scores[i - 2, k] = value
+            scores[r, k] = value
     if len(set(algorithm_ids)) != len(algorithm_ids):
         dupe = next(a for a in algorithm_ids if algorithm_ids.count(a) > 1)
         raise ValidationError(f"{path}: duplicate algorithm {dupe!r}")
@@ -332,17 +362,8 @@ def load_scores_with_values(path, value_columns=()
 
 def load_norms(path) -> NormalizationTable:
     """Read a normalization CSV: header ``environment,random,human``."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    header = [cell.strip().casefold() for cell in rows[0]]
-    if header[:3] != ["environment", "random", "human"]:
-        raise SchemaError(f"{path}: header must be environment,random,human")
     pairs = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) < 3:
-            raise SchemaError(f"{path}: row {i} has fewer than 3 cells")
+    for i, row in read_csv_rows(path, ("environment", "random", "human")):
         name = row[0].strip()
         if not name:
             raise SchemaError(f"{path}: row {i} has an empty environment name")
@@ -369,11 +390,7 @@ def normalize(raw: RawScoreTable, norms: NormalizationTable) -> np.ndarray:
     """
     out = np.empty_like(raw.scores)
     for j, env in enumerate(raw.environment_ids):
-        entry = norms.lookup(env)
-        # divide before scaling so the reference anchors land exactly on
-        # 0 and 100 (the ratio is exactly 0.0 or 1.0 in either case)
-        out[:, j] = (raw.scores[:, j] - entry.random) / (
-            entry.human - entry.random) * 100.0
+        out[:, j] = norms.lookup(env).normalize(raw.scores[:, j])
     return out
 
 
@@ -420,13 +437,12 @@ def filter_dataset(raw: RawScoreTable, min_games: int,
     )
 
 
-def compute_target(normalized: np.ndarray, stat: str = "median") -> np.ndarray:
-    """Per-algorithm target: phi(stat over the row's present normalized scores).
+def summary_statistic(normalized: np.ndarray, stat: str = "median"
+                      ) -> np.ndarray:
+    """Per-algorithm stat over the row's present normalized scores.
 
     The statistic is taken over available entries only (nothing imputed);
-    an even-count median is the midpoint of the two central values. The
-    result is in log-normalized units, i.e. phi is applied to the summary,
-    not to the individual scores first.
+    an even-count median is the midpoint of the two central values.
     """
     if stat not in TARGET_STATS:
         raise ValidationError(f"target stat must be one of {TARGET_STATS}")
@@ -436,7 +452,14 @@ def compute_target(normalized: np.ndarray, stat: str = "median") -> np.ndarray:
         raise DegenerateDataError(
             f"algorithm at row {int(counts.argmin())} has no present scores")
     reduce = np.nanmedian if stat == "median" else np.nanmean
-    return np.asarray(log_transform(reduce(normalized, axis=1)))
+    return reduce(normalized, axis=1)
+
+
+def compute_target(normalized: np.ndarray, stat: str = "median") -> np.ndarray:
+    """Per-algorithm target: phi of :func:`summary_statistic`, i.e. in
+    log-normalized units, phi applied to the summary rather than to the
+    individual scores first."""
+    return np.asarray(log_transform(summary_statistic(normalized, stat)))
 
 
 def prepare_dataset(raw: RawScoreTable, norms: NormalizationTable, *,

@@ -9,10 +9,11 @@ without assembling that corpus locally.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from ..data import load_norms
 from ..errors import ValidationError
+from ..formats import load_bank, load_model, read_json
 
 _ROOT = Path(__file__).parent
 
@@ -50,26 +51,18 @@ def bank_path(name: str) -> Path:
 
 
 def load_normalization():
-    from ..data import load_norms
-
     return load_norms(normalization_path())
 
 
 def load_subset_model(name: str):
     """Load a shipped subset model; returns (LinearModel, document)."""
-    from ..linreg import load_model
-
     return load_model(subset_model_path(name))
 
 
 def load_reference_bank(name: str):
     """Load a shipped per-game model bank; returns (ModelBank, document)."""
-    from ..search import load_bank
-
     return load_bank(bank_path(name))
 
 
 def load_reference_subsets() -> dict:
-    with open(_ROOT / "reference_subsets.json", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc["subsets"]
+    return read_json(_ROOT / "reference_subsets.json")["subsets"]

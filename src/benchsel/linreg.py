@@ -14,7 +14,6 @@ The same factorization backs the unconstrained fit, the non-negative
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,8 +25,6 @@ from .errors import EnvironmentLookupError, SingularMatrixError, ValidationError
 
 MAX_COLUMNS = 16
 PIVOT_RTOL = 1e-10
-
-MODEL_FORMAT = "benchsel-model/1"
 
 
 @dataclass(frozen=True)
@@ -365,60 +362,3 @@ def predict_linear(model: LinearModel, x) -> float:
             raise ValidationError(
                 f"expected {model.n_environments} log scores, got {vec.shape}")
     return float((model.intercept or 0.0) + model.coefficients @ vec)
-
-
-def model_to_dict(model: LinearModel, *, name: str | None = None,
-                  norms_checksum: str | None = None,
-                  extra: dict | None = None) -> dict:
-    """Serializable form of a model, numbers at full decimal precision."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "name": name,
-        "environment_ids": list(model.environment_ids),
-        "coefficients": [float(c) for c in model.coefficients],
-        "intercept": None if model.intercept is None else float(model.intercept),
-        "constrained_nonnegative": bool(model.constrained_nonnegative),
-        "stats": {
-            "r_squared": model.stats.r_squared,
-            "cv_mse": model.stats.cv_mse,
-            "log_mae": model.stats.log_mae,
-        },
-        "norms_checksum": norms_checksum,
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def model_from_dict(doc: Mapping) -> LinearModel:
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValidationError(f"not a model document (format="
-                              f"{doc.get('format')!r})")
-    stats = doc.get("stats") or {}
-    return LinearModel(
-        environment_ids=tuple(doc["environment_ids"]),
-        coefficients=np.array(doc["coefficients"], dtype=np.float64),
-        intercept=(None if doc.get("intercept") is None
-                   else float(doc["intercept"])),
-        stats=FitStats(r_squared=stats.get("r_squared"),
-                       cv_mse=stats.get("cv_mse"),
-                       log_mae=stats.get("log_mae")),
-        constrained_nonnegative=bool(doc.get("constrained_nonnegative", False)),
-    )
-
-
-def save_model(path, model: LinearModel, *, name: str | None = None,
-               norms_checksum: str | None = None,
-               extra: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, name=name, norms_checksum=norms_checksum,
-                                extra=extra), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> tuple[LinearModel, dict]:
-    """Read a model file; returns (model, full document) so callers can
-    check the embedded norms checksum."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return model_from_dict(doc), doc

@@ -8,7 +8,9 @@ game scores and read off a summary estimate in normalized-score units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .data import NormalizationTable, canonical_key, inverse_log_transform, \
     log_transform
@@ -51,15 +53,13 @@ def predict_summary(model: LinearModel, raw_scores, norms: NormalizationTable
     coefficients it is >= 0, and all-random inputs give exactly 0.
     """
     by_key = {canonical_key(str(k)): float(v) for k, v in raw_scores.items()}
-    log_scores = {}
-    for env in model.environment_ids:
+    log_scores = np.empty(model.n_environments)
+    for j, env in enumerate(model.environment_ids):
         key = canonical_key(env)
         if key not in by_key:
             raise EnvironmentLookupError(
                 env, f"missing raw score for environment {env!r}")
-        entry = norms.lookup(env)
-        z = (by_key[key] - entry.random) / (entry.human - entry.random) * 100.0
-        log_scores[env] = float(log_transform(z))
+        log_scores[j] = log_transform(norms.lookup(env).normalize(by_key[key]))
     return float(inverse_log_transform(predict_linear(model, log_scores)))
 
 
@@ -148,9 +148,6 @@ def rebase_scores(reports, baseline_algorithm: str) -> list[PredictionReport]:
         predicted = report.predicted_summary / baseline.predicted_summary
         true = (None if report.true_summary is None
                 else report.true_summary / baseline.true_summary)
-        rel = None
-        if true is not None and abs(true) > TRUE_VALUE_FLOOR:
-            rel = relative_error(true, predicted)
-        rebased.append(replace(report, predicted_summary=predicted,
-                               true_summary=true, relative_error=rel))
+        rebased.append(make_report(report.algorithm_id, predicted, true,
+                                   report.inputs_used))
     return rebased

@@ -27,11 +27,11 @@ import numpy as np
 from .data import PreparedDataset, canonical_key
 from .errors import (
     EmptySearchError,
-    EnvironmentLookupError,
     SingularMatrixError,
     ValidationError,
 )
 from .linreg import (
+    MAX_COLUMNS,
     FitStats,
     LinearModel,
     _chol_solve_batched,
@@ -309,21 +309,19 @@ def _default_progress(done: int, total: int) -> None:
           file=sys.stderr, flush=True)
 
 
-def _resolve_columns(dataset: PreparedDataset, names) -> list[int]:
-    by_key = {canonical_key(e): j for j, e in enumerate(dataset.environment_ids)}
-    cols = []
-    for name in names:
-        key = canonical_key(name)
-        if key not in by_key:
-            raise EnvironmentLookupError(name)
-        cols.append(by_key[key])
-    return cols
+def resolve_workers(threads: int) -> int:
+    """Worker processes for a ``threads`` request; 0 or less means one per
+    CPU this process may run on (its affinity mask, where the platform has
+    one)."""
+    if threads > 0:
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 def _build_context(dataset: PreparedDataset, config: SearchConfig
                    ) -> _SearchContext:
-    from .linreg import MAX_COLUMNS
-
     if config.subset_size + int(config.with_intercept) > MAX_COLUMNS:
         raise ValidationError(
             f"subset_size {config.subset_size} exceeds the {MAX_COLUMNS}"
@@ -334,9 +332,9 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
     avail = np.ones((m, n + 1), dtype=bool)
     avail[:, :n] = dataset.present
 
-    must_cols = np.array(sorted(_resolve_columns(dataset, config.must_include)),
-                         dtype=np.int64)
-    excluded = set(_resolve_columns(dataset, config.exclude))
+    must_cols = np.array(sorted(map(dataset.environment_index,
+                                    config.must_include)), dtype=np.int64)
+    excluded = set(map(dataset.environment_index, config.exclude))
     pool = np.array([j for j in range(n)
                      if j not in excluded and j not in set(must_cols)],
                     dtype=np.int64)
@@ -389,8 +387,7 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
     total = math.comb(len(ctx.pool), ctx.k_free)
     if progress is None:
         progress = _default_progress
-    if threads <= 0:
-        threads = os.cpu_count() or 1
+    threads = resolve_workers(threads)
 
     block = _block_size(ctx)
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
@@ -425,14 +422,17 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
             for span, result in zip(spans, pool.imap(_worker_score, spans)):
                 consume(result, span)
 
+    def empty_search(message):
+        return EmptySearchError(message, skip_stats={
+            "total_candidates": total,
+            "skipped_insufficient_rows": skipped_rows,
+            "skipped_singular": skipped_singular})
+
     if not scored:
-        raise EmptySearchError(
+        raise empty_search(
             f"no viable size-{config.subset_size} candidate: "
             f"{skipped_rows} skipped for insufficient usable algorithms, "
-            f"{skipped_singular} for singular designs",
-            skip_stats={"total_candidates": total,
-                        "skipped_insufficient_rows": skipped_rows,
-                        "skipped_singular": skipped_singular})
+            f"{skipped_singular} for singular designs")
 
     finalists.sort(key=lambda e: (e[0], e[1]))
     ranked = []
@@ -447,11 +447,7 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
             subset=model.environment_ids, model=model,
             cv_mse=cv_mse, n_algorithms_used=n_used))
     if not ranked:
-        raise EmptySearchError(
-            "every finalist was singular at refit time",
-            skip_stats={"total_candidates": total,
-                        "skipped_insufficient_rows": skipped_rows,
-                        "skipped_singular": skipped_singular})
+        raise empty_search("every finalist was singular at refit time")
 
     return SearchResult(
         config=config,
@@ -547,7 +543,7 @@ def per_game_models(dataset: PreparedDataset, subset,
     with fewer than ``len(subset) + min_extra`` usable algorithms is
     flagged unusable instead of aborting the bank.
     """
-    subset_cols = _resolve_columns(dataset, subset)
+    subset_cols = [dataset.environment_index(e) for e in subset]
     subset_names = tuple(dataset.environment_ids[j] for j in subset_cols)
     X = dataset.log_scores
     present = dataset.present
@@ -595,13 +591,12 @@ def variance_explained(bank: ModelBank, dataset: PreparedDataset) -> float:
         raise ValidationError("bank does not cover every dataset environment")
     X = dataset.log_scores
     present = dataset.present
-    by_key = {canonical_key(e): j for j, e in enumerate(dataset.environment_ids)}
 
     ss_res = 0.0
     ss_tot = 0.0
     for env, model in bank.models.items():
-        g = by_key[canonical_key(env)]
-        cols = [by_key[canonical_key(e)] for e in model.environment_ids]
+        g = dataset.environment_index(env)
+        cols = [dataset.environment_index(e) for e in model.environment_ids]
         rows = np.flatnonzero(present[:, cols].all(axis=1) & present[:, g])
         if len(rows) < 2:
             continue
@@ -613,85 +608,3 @@ def variance_explained(bank: ModelBank, dataset: PreparedDataset) -> float:
     if ss_tot == 0.0:
         return 0.0
     return 1.0 - ss_res / ss_tot
-
-
-# ---------------------------------------------------------------------------
-# Serialization of banks and suites.
-
-BANK_FORMAT = "benchsel-bank/1"
-SUITE_FORMAT = "benchsel-suite/1"
-
-
-def bank_to_dict(bank: ModelBank, *, name: str | None = None,
-                 norms_checksum: str | None = None) -> dict:
-    from .linreg import model_to_dict
-
-    return {
-        "format": BANK_FORMAT,
-        "name": name,
-        "subset": list(bank.subset),
-        "norms_checksum": norms_checksum,
-        "models": {env: model_to_dict(m, name=env)
-                   for env, m in sorted(bank.models.items())},
-        "skipped": dict(sorted(bank.skipped.items())),
-        "n_used": dict(sorted(bank.n_used.items())),
-    }
-
-
-def bank_from_dict(doc) -> ModelBank:
-    from .linreg import model_from_dict
-
-    if doc.get("format") != BANK_FORMAT:
-        raise ValidationError(
-            f"not a model-bank document (format={doc.get('format')!r})")
-    return ModelBank(
-        subset=tuple(doc["subset"]),
-        models={env: model_from_dict(d) for env, d in doc["models"].items()},
-        skipped=dict(doc.get("skipped", {})),
-        n_used={k: int(v) for k, v in doc.get("n_used", {}).items()},
-    )
-
-
-def save_bank(path, bank: ModelBank, *, name: str | None = None,
-              norms_checksum: str | None = None) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bank_to_dict(bank, name=name, norms_checksum=norms_checksum),
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bank(path) -> tuple[ModelBank, dict]:
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return bank_from_dict(doc), doc
-
-
-def suite_to_dict(suite: SubsetSuite, *, norms_checksum: str | None = None
-                  ) -> dict:
-    from .linreg import model_to_dict
-
-    return {
-        "format": SUITE_FORMAT,
-        "seed": suite.seed,
-        "folds": suite.folds,
-        "dataset_hash": suite.dataset_hash,
-        "norms_checksum": norms_checksum,
-        "skip_stats": suite.skip_stats,
-        "models": {
-            name: {
-                "subset": list(cand.subset),
-                "cv_mse": cand.cv_mse,
-                "n_algorithms_used": cand.n_algorithms_used,
-                "model": model_to_dict(cand.model, name=name,
-                                       norms_checksum=norms_checksum),
-            }
-            for name, cand in sorted(suite.models.items())
-        },
-        "banks": {name: bank_to_dict(bank, name=name,
-                                     norms_checksum=norms_checksum)
-                  for name, bank in sorted(suite.banks.items())},
-    }

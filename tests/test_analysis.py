@@ -236,8 +236,12 @@ class TestExportDot:
 
 
 class TestLoadCategories:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "environment,category\nPong,sport\nAlien,maze\n",
+        "environment,category\n\nPong,sport\nAlien,maze\n\n",
+    ], ids=["plain", "blank-lines"])
+    def test_round_trip(self, tmp_path, text):
         path = tmp_path / "cats.csv"
-        path.write_text("environment,category\nPong,sport\nAlien,maze\n")
+        path.write_text(text)
         cats = load_categories(path)
         assert cats == {"Pong": "sport", "Alien": "maze"}

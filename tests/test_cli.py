@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from benchsel.cli import main
-from benchsel.linreg import LinearModel, save_model
-from benchsel.manifest import sha256_file
+from benchsel.formats import save_model, sha256_file
+from benchsel.linreg import LinearModel
 
 
 @pytest.fixture
@@ -85,6 +85,18 @@ class TestSearchCommand:
         with pytest.raises(SystemExit) as exc:
             run(["search", "--scores", scores, "--norms", norms])
         assert exc.value.code == 2
+
+    def test_auto_threads_records_workers_used(self, toy_inputs):
+        scores, norms, tmp = toy_inputs
+        out = tmp / "search-auto"
+        rc = run(["search", "--scores", scores, "--norms", norms,
+                  "--size", "2", "--min-games", "5", "--min-algos", "5",
+                  "--ignore-columns", "truecol", "--folds", "5",
+                  "--threads", "0", "--out", out, "--quiet"])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["threads"] == 0
+        assert manifest["workers"] >= 1
 
     def test_thread_count_does_not_change_output(self, toy_inputs,
                                                  monkeypatch):
@@ -226,6 +238,21 @@ class TestPredictCommand:
         zero_row = next(r for r in doc["reports"] if r["algorithm"] == "a1")
         assert zero_row["true"] == 0.0
         assert zero_row["rel_error"] is None  # undefined against zero truth
+
+    @pytest.mark.parametrize("command", [["predict"], ["analyze", "fairness"]])
+    def test_malformed_model_exits_one_with_one_line(self, toy_inputs,
+                                                     capsys, command):
+        scores, norms, tmp = toy_inputs
+        model_path = tmp / "broken.json"
+        model_path.write_text('{"format": "benchsel-model/1"}')
+        rc = run([*command, "--model", model_path, "--scores", scores,
+                  "--norms", norms, "--true-summary", "truecol",
+                  "--out", tmp / "broken-out"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("benchsel: error: ")
+        assert "broken.json" in err[0] and "environment_ids" in err[0]
 
     def test_shipped_reference_model_by_name(self, tmp_path):
         from benchsel import fixtures

@@ -84,10 +84,15 @@ class TestLoadScores:
         assert table.environment_ids == ("Pong",)
         assert table.provenance == ("paper-x",)
 
-    def test_bom_and_crlf_tolerated(self, tmp_path):
-        # spreadsheet exports routinely prepend a BOM and use \r\n
+    @pytest.mark.parametrize("raw", [
+        b"\xef\xbb\xbfalgorithm,Pong\r\na1,5.0\r\n",
+        b"algorithm,Pong\r\n\r\na1,5.0\r\n,\r\n\r\n",
+    ], ids=["bom-crlf", "blank-lines"])
+    def test_bom_and_crlf_tolerated(self, tmp_path, raw):
+        # spreadsheet exports routinely prepend a BOM, use \r\n and leave
+        # blank or all-empty rows behind
         path = tmp_path / "bom.csv"
-        path.write_bytes(b"\xef\xbb\xbfalgorithm,Pong\r\na1,5.0\r\n")
+        path.write_bytes(raw)
         table = load_scores(path)
         assert table.environment_ids == ("Pong",)
         assert table.scores[0, 0] == 5.0
@@ -277,6 +282,14 @@ class TestPrepareDataset:
         assert ds.log_scores[0, 0] == 0.0
         assert np.isnan(ds.log_scores[2, 1])
         assert ds.targets.shape == (3,)
+
+    def test_norms_skip_blank_rows_and_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "norms.csv"
+        path.write_text("environment,random,human\n\nPong,0,100\n\n")
+        assert load_norms(path).lookup("pong").human == 100.0
+        path.write_text("environment,random,human\n\nPong,0,x\n")
+        with pytest.raises(SchemaError, match="row 3"):
+            load_norms(path)
 
     def test_norm_table_requires_distinct_references(self, norms_csv):
         path = norms_csv([("Pong", 5.0, 5.0)])

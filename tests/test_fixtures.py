@@ -8,8 +8,8 @@ from benchsel.data import (
     load_scores_with_values,
     normalize,
 )
+from benchsel.formats import sha256_file
 from benchsel.linreg import predict_linear
-from benchsel.manifest import sha256_file
 
 
 @pytest.fixture(scope="module")

@@ -6,20 +6,23 @@ from scipy.optimize import nnls as scipy_nnls
 
 from benchsel.errors import (
     EnvironmentLookupError,
+    SchemaError,
     SingularMatrixError,
     ValidationError,
+)
+from benchsel.formats import (
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
 )
 from benchsel.linreg import (
     LinearModel,
     cross_validated_mse,
     fit_nnls,
     fit_ols,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     predict_linear,
     r_squared,
-    save_model,
 )
 
 
@@ -261,9 +264,23 @@ class TestSerialization:
         doc = json.loads(json.dumps(model_to_dict(model)))
         assert model_from_dict(doc).coefficients[0] == 1 / 3
 
-    def test_rejects_wrong_format(self):
-        with pytest.raises(ValidationError):
-            model_from_dict({"format": "something-else"})
+    @pytest.mark.parametrize("text, error", [
+        ('{"format": "something-else"}', ValidationError),
+        ('{"format": "benchsel-model/1"}', SchemaError),
+        ("not json", SchemaError),
+        ("[1, 2]", SchemaError),
+        ('{"format": "benchsel-model/1", "environment_ids": ["x"], '
+         '"coefficients": "1.0"}', SchemaError),
+    ], ids=["wrong-tag", "missing-keys", "not-json", "not-an-object",
+            "mistyped-key"])
+    def test_rejects_wrong_format(self, tmp_path, text, error):
+        path = tmp_path / "bad_model.json"
+        path.write_text(text)
+        with pytest.raises(error, match="bad_model.json"):
+            load_model(path)
+        if text.startswith("{"):
+            with pytest.raises(error):
+                model_from_dict(json.loads(text))
 
     def test_constrained_flag_checked(self):
         with pytest.raises(ValidationError):

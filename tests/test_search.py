@@ -5,15 +5,13 @@ import pytest
 
 from benchsel.data import FilterConfig, PreparedDataset
 from benchsel.errors import EmptySearchError, ValidationError
+from benchsel.formats import bank_from_dict, bank_to_dict, suite_to_dict
 from benchsel.linreg import cross_validated_mse
 from benchsel.search import (
     SearchConfig,
-    bank_from_dict,
-    bank_to_dict,
     enumerate_and_score,
     nested_pipeline,
     per_game_models,
-    suite_to_dict,
     variance_explained,
 )
 from conftest import make_dataset, silent
