@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .data import PreparedDataset, canonical_key, read_csv_rows
 from .errors import DegenerateDataError, ValidationError
@@ -197,8 +196,12 @@ def _welch_two_sided(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Unequal-variance two-sample t-test (two-sided).
 
     Degrees of freedom follow Welch-Satterthwaite. Two groups with equal
-    means and zero spread compare as (t=0, p=1) rather than 0/0.
+    means and zero spread compare as (t=0, p=1) rather than 0/0. scipy is
+    imported here, not at module level, because loading it costs about a
+    second on every command and only the fairness audit needs it.
     """
+    from scipy.special import stdtr
+
     n1, n2 = len(a), len(b)
     m1, m2 = float(a.mean()), float(b.mean())
     v1 = float(a.var(ddof=1))
@@ -208,7 +211,7 @@ def _welch_two_sided(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
         return (0.0, 1.0) if m1 == m2 else (math.copysign(math.inf, m1 - m2), 0.0)
     t = (m1 - m2) / math.sqrt(se2)
     df = se2 ** 2 / ((v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1))
-    p = 2.0 * float(scipy_stats.t.sf(abs(t), df))
+    p = 2.0 * float(stdtr(df, -abs(t)))
     return t, p
 
 

@@ -9,7 +9,12 @@ on the normal equations with a hand-rolled Cholesky factorization that is
     that system as rank-deficient instead of raising mid-stack.
 
 The same factorization backs the unconstrained fit, the non-negative
-(active set) fit and k-fold cross-validation.
+(active set) fit and k-fold cross-validation. Cross-validation has one
+engine, ``_cv_mse_batched``, shared by ``cross_validated_mse`` (one
+candidate) and the subset search (a block of candidates): it forms each
+fold's held-out Gram from padded held-out rows, gets every training Gram
+by subtracting that from the full Gram, and solves all candidates x folds
+systems in one batched call.
 """
 
 from __future__ import annotations
@@ -312,31 +317,100 @@ def fold_assignment(rows: int, folds: int, seed: int) -> np.ndarray:
     return fold_of_row
 
 
+def fold_slots(rows: int, folds: int, seed: int, width: int,
+               pad: int) -> np.ndarray:
+    """Row indices held out by each fold of ``fold_assignment(rows, folds,
+    seed)``.
+
+    Returns a (folds, width) int64 array whose row f lists the rows of fold
+    f in ascending order, then ``pad`` up to ``width``, which must be at
+    least ceil(rows / folds).
+    """
+    fold_of_row = fold_assignment(rows, folds, seed)
+    slots = np.full((folds, width), pad, dtype=np.int64)
+    for f in range(folds):
+        members = np.flatnonzero(fold_of_row == f)
+        slots[f, :len(members)] = members
+    return slots
+
+
+def _cv_mse_batched(X: np.ndarray, t: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k-fold CV of a stack of candidate designs by fold downdating.
+
+    Parameters
+    ----------
+    X : ndarray, shape (R + 1, K)
+        Every row and column any candidate may use; the last row is all
+        zeros and stands in for padding.
+    t : ndarray, shape (R + 1,)
+        Targets, with 0 in the padding row.
+    rows : ndarray, shape (N, F, S)
+        Per candidate and fold, the held-out rows, padded with R.
+    cols : ndarray, shape (N, C)
+        Per candidate, the columns of ``X`` it fits.
+
+    Returns
+    -------
+    cv : ndarray, shape (N,)
+        Mean over folds of held-out squared error / fold size.
+    bad : ndarray, shape (N, F)
+        Per fold, the first rank-deficient column of its training system,
+        else -1 (see ``_chol_factor_batched``).
+
+    Each training system is the candidate's full Gram minus its held-out
+    fold's Gram, and all N x F of them go through one batched solve.
+    Residuals are formed explicitly on held-out rows rather than expanded
+    as t'Pt - 2 beta'b + beta'G beta, which cancels badly on near-exact
+    fits. Padding rows contribute 0 to every Gram, right-hand side and
+    residual, so a candidate's result does not depend on the others in
+    the stack.
+    """
+    X_test = X[rows[..., None], cols[:, None, None, :]]   # (N, F, S, C)
+    t_test = t[rows]                                      # (N, F, S)
+    X_test_T = np.swapaxes(X_test, -1, -2)
+    G_test = X_test_T @ X_test
+    b_test = (X_test_T @ t_test[..., None])[..., 0]
+    G_train = G_test.sum(axis=1, keepdims=True) - G_test
+    b_train = b_test.sum(axis=1, keepdims=True) - b_test
+    beta, bad = _chol_solve_batched(G_train, b_train)
+    residual = (X_test @ beta[..., None])[..., 0] - t_test
+    fold_sizes = (rows != X.shape[0] - 1).sum(axis=-1)
+    cv = ((residual ** 2).sum(axis=-1) / fold_sizes).mean(axis=-1)
+    return cv, bad
+
+
 def cross_validated_mse(X, t, folds: int, seed: int,
                         with_intercept: bool = False,
                         environment_ids: Sequence[str] | None = None) -> float:
     """Mean over folds of held-out mean squared error.
 
     A pure function of (X, t, folds, seed, with_intercept): the same seed
-    gives a bit-identical result. Raises SingularMatrixError if any
+    gives a bit-identical result. It is a one-candidate call into the
+    engine that scores subset searches, so a search reports the same
+    value for the same rows up to rounding. Raises SingularMatrixError,
+    naming the first rank-deficient column of the first such fold, if any
     training fold is rank-deficient.
     """
     X, t = _as_design(X, t, with_intercept)
     if folds < 2:
         raise ValidationError("folds must be >= 2")
-    rows = X.shape[0]
+    rows, n_envs = X.shape
     if rows < folds:
         raise ValidationError(f"need at least {folds} rows for {folds}-fold CV")
-    fold_of_row = fold_assignment(rows, folds, seed)
-    total = 0.0
-    for f in range(folds):
-        test = fold_of_row == f
-        train = ~test
-        coef, intercept = _solve_normal_equations(
-            X[train], t[train], with_intercept, environment_ids)
-        residual = X[test] @ coef + (intercept or 0.0) - t[test]
-        total += float((residual ** 2).mean())
-    return total / folds
+    design = np.zeros((rows + 1, n_envs + int(with_intercept)))
+    design[:rows, :n_envs] = X
+    if with_intercept:
+        design[:rows, -1] = 1.0
+    target = np.append(t, 0.0)
+    slots = fold_slots(rows, folds, seed, -(-rows // folds), pad=rows)
+    cv, bad = _cv_mse_batched(design, target, slots[None],
+                              np.arange(design.shape[1])[None])
+    bad_folds = np.flatnonzero(bad[0] != -1)
+    if len(bad_folds):
+        raise SingularMatrixError(_column_name(
+            int(bad[0, bad_folds[0]]), n_envs, environment_ids))
+    return float(cv[0])
 
 
 def predict_linear(model: LinearModel, x) -> float:

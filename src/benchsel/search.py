@@ -3,10 +3,14 @@
 Candidate subsets are enumerated in colexicographic order through the
 combinatorial number system, so a block of candidates is fully determined
 by a rank interval [start, stop). Workers receive rank intervals, unrank
-them to index arrays, and score a whole block at once with stacked
-normal-equation solves; the final merge uses the total order
-(cv_mse, sorted environment names), which makes the ranking bit-identical
-whatever the worker count.
+them to index arrays, and score a whole block at once through
+``linreg._cv_mse_batched``: a per-search slot table, indexed by the number
+of usable algorithms, lists each fold's held-out usable ranks, so a block
+gathers every candidate's held-out rows, downdates the full Gram by each
+fold's, and solves all candidates x folds systems in one batched call. A
+candidate's result does not depend on the block it lands in, and the
+final merge uses the total order (cv_mse, sorted environment names), so
+the ranking is bit-identical whatever the worker count or block size.
 
 Per subset, any algorithm missing one of the required scores is dropped
 for that candidate only. Candidates left with fewer usable algorithms
@@ -34,9 +38,9 @@ from .linreg import (
     MAX_COLUMNS,
     FitStats,
     LinearModel,
-    _chol_solve_batched,
+    _cv_mse_batched,
     fit_ols,
-    fold_assignment,
+    fold_slots,
 )
 
 MAX_ENUMERATION = 1 << 50
@@ -178,9 +182,10 @@ def _unrank_colex(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
 class _SearchContext:
     """Everything a worker needs to score a rank interval; fully picklable."""
 
-    X: np.ndarray          # (m, n_env + 1) log scores, NaN->0, ones column last
+    X: np.ndarray          # (m + 1, n_env + 1) log scores, NaN->0, ones
+                           # column last, all-zero padding row last
     avail: np.ndarray      # (m, n_env + 1) bool, ones column all-True
-    t: np.ndarray          # (m,)
+    t: np.ndarray          # (m + 1,), 0 in the padding row
     env_names: tuple[str, ...]
     pool: np.ndarray       # eligible column indices, ascending
     must_cols: np.ndarray  # forced column indices
@@ -191,17 +196,18 @@ class _SearchContext:
     top_k: int
     min_rows: int
     comb: np.ndarray       # binomial table for the pool
-    fold_table: np.ndarray  # (m + 1, m): fold id per usable-rank, by row count
+    slots: np.ndarray      # (m + 1, folds, ceil(m / folds)): by usable-row
+                           # count, each fold's usable ranks, padded with m
 
     @property
     def k_free(self) -> int:
         return self.subset_size - len(self.must_cols)
 
 
-def _build_fold_table(m: int, folds: int, seed: int) -> np.ndarray:
-    table = np.full((m + 1, max(m, 1)), -1, dtype=np.int32)
+def _slot_table(m: int, folds: int, seed: int) -> np.ndarray:
+    table = np.full((m + 1, folds, -(-m // folds)), m, dtype=np.int64)
     for rows in range(folds, m + 1):
-        table[rows, :rows] = fold_assignment(rows, folds, seed)
+        table[rows] = fold_slots(rows, folds, seed, table.shape[2], pad=m)
     return table
 
 
@@ -209,9 +215,14 @@ def _block_size(ctx: _SearchContext) -> int:
     override = os.environ.get("BENCHSEL_BLOCK_SIZE")
     if override:
         return max(1, int(override))
-    m = ctx.X.shape[0]
+    m = ctx.avail.shape[0]
     cols = ctx.subset_size + int(ctx.with_intercept)
-    return int(max(256, min(32768, 8_000_000 // max(1, m * cols))))
+    # Doubles a candidate takes in the block's largest arrays: its held-out
+    # rows (about m x cols) and one cols x cols Gram per fold. 450k of them
+    # (3.6 MB) scored fastest at 3, 5 and 10 columns on a Xeon with 2 MiB
+    # of L2 per core; larger blocks push the Cholesky sweeps out to L3.
+    per_candidate = cols * (m + ctx.folds * cols)
+    return int(max(256, min(32768, 450_000 // per_candidate)))
 
 
 def _score_block(ctx: _SearchContext, start: int, stop: int):
@@ -233,8 +244,8 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     else:
         fit_cols = env_cols
 
-    usable = ctx.avail[:, fit_cols].all(axis=2)      # (m, n_block)
-    n_usable = usable.sum(axis=0)
+    usable = ctx.avail[:, fit_cols].all(axis=2).T    # (n_block, m)
+    n_usable = usable.sum(axis=1)
     viable = n_usable >= ctx.min_rows
     n_skip_rows = int(n_block - viable.sum())
     if not viable.any():
@@ -243,32 +254,21 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     keep = np.flatnonzero(viable)
     env_cols = env_cols[keep]
     fit_cols = fit_cols[keep]
-    usable = usable[:, keep]
+    usable = usable[keep]
     n_usable = n_usable[keep]
 
-    rank = usable.cumsum(axis=0) - 1
-    fold_id = ctx.fold_table[n_usable[None, :], rank]
-    fold_id = np.where(usable, fold_id, -1)
+    # Row index of each usable rank (usable rows first, ascending), with
+    # the padding rank m mapped to the all-zero padding row m.
+    m = usable.shape[1]
+    row_of_rank = np.empty((len(keep), m + 1), dtype=np.int64)
+    row_of_rank[:, :m] = np.argsort(~usable, axis=1, kind="stable")
+    row_of_rank[:, m] = m
+    slots = ctx.slots[n_usable]                       # (N, F, S) ranks
+    rows = np.take_along_axis(
+        row_of_rank, slots.reshape(len(keep), -1), axis=1).reshape(slots.shape)
+    cv, bad = _cv_mse_batched(ctx.X, ctx.t, rows, fit_cols)
 
-    Xt = np.ascontiguousarray(ctx.X[:, fit_cols].transpose(1, 0, 2))  # (N, m, C)
-    t = ctx.t
-    cv_sum = np.zeros(len(keep))
-    singular = np.zeros(len(keep), dtype=bool)
-
-    for f in range(ctx.folds):
-        w_train = ((fold_id != f) & usable).T        # (N, m)
-        A = Xt * w_train[:, :, None]
-        At = A.transpose(0, 2, 1)                    # (N, C, m)
-        G = At @ Xt
-        b = At @ t
-        beta, bad = _chol_solve_batched(G, b)
-        singular |= bad != -1
-        w_test = (fold_id == f).T
-        residual = ((Xt @ beta[:, :, None])[:, :, 0] - t) * w_test
-        cv_sum += (residual ** 2).sum(axis=1) / w_test.sum(axis=1)
-    cv = cv_sum / ctx.folds
-
-    singular |= ~np.isfinite(cv)
+    singular = (bad != -1).any(axis=1) | ~np.isfinite(cv)
     n_singular = int(singular.sum())
     good = np.flatnonzero(~singular)
     if not len(good):
@@ -327,8 +327,9 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
             f"subset_size {config.subset_size} exceeds the {MAX_COLUMNS}"
             "-column solver limit")
     m, n = dataset.log_scores.shape
-    X = np.ones((m, n + 1))
-    X[:, :n] = np.nan_to_num(dataset.log_scores, nan=0.0)
+    X = np.ones((m + 1, n + 1))
+    X[:m, :n] = np.nan_to_num(dataset.log_scores, nan=0.0)
+    X[m] = 0.0
     avail = np.ones((m, n + 1), dtype=bool)
     avail[:, :n] = dataset.present
 
@@ -350,7 +351,7 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
     return _SearchContext(
         X=X,
         avail=avail,
-        t=np.asarray(dataset.targets, dtype=np.float64),
+        t=np.append(np.asarray(dataset.targets, dtype=np.float64), 0.0),
         env_names=dataset.environment_ids,
         pool=pool,
         must_cols=must_cols,
@@ -361,7 +362,7 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
         top_k=config.top_k,
         min_rows=max(cols_fit + 2, config.folds),
         comb=_comb_table(len(pool), k_free),
-        fold_table=_build_fold_table(m, config.folds, config.seed),
+        slots=_slot_table(m, config.folds, config.seed),
     )
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from benchsel.data import FilterConfig, PreparedDataset
+from benchsel.linreg import fold_assignment
 
 
 def silent(done, total):
@@ -35,6 +36,22 @@ def make_dataset(m=40, n=16, seed=0, signal=None, noise=0.02,
         target_stat="median",
         filter_config=FilterConfig(1, 1),
     )
+
+
+def lstsq_cv_mse(X, t, folds, seed, with_intercept=False):
+    """Independent oracle for the CV engine: the same folds, but each
+    training fold solved from scratch by ``np.linalg.lstsq``."""
+    X = np.asarray(X, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if with_intercept:
+        X = np.hstack([X, np.ones((len(t), 1))])
+    fold_of_row = fold_assignment(len(t), folds, seed)
+    total = 0.0
+    for f in range(folds):
+        test = fold_of_row == f
+        beta = np.linalg.lstsq(X[~test], t[~test], rcond=None)[0]
+        total += float(((X[test] @ beta - t[test]) ** 2).mean())
+    return total / folds
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from benchsel.linreg import (
     predict_linear,
     r_squared,
 )
+from conftest import lstsq_cv_mse
 
 
 def brute_force_ols(X, t, with_intercept=False):
@@ -205,10 +206,54 @@ class TestCrossValidatedMse:
         assert a == b
         assert a != cross_validated_mse(X, t, folds=10, seed=100)
 
+    @pytest.mark.parametrize("with_intercept", [False, True])
+    def test_matches_lstsq_oracle(self, with_intercept):
+        rng = np.random.default_rng(33)
+        for folds in (2, 3, 7, 10):
+            X = rng.uniform(0, 3, size=(37, 4))
+            t = X @ rng.uniform(0, 1, 4) + rng.normal(0, 0.1, 37) + 0.7
+            assert cross_validated_mse(
+                X, t, folds=folds, seed=folds,
+                with_intercept=with_intercept) == pytest.approx(
+                lstsq_cv_mse(X, t, folds, folds, with_intercept), rel=1e-9)
+
+    # Each training Gram is the full Gram minus the held-out fold's, so
+    # the next two designs are where that subtraction loses digits.
+    def test_near_collinear_pair_matches_oracle(self):
+        rng = np.random.default_rng(34)
+        X = rng.uniform(0, 3, size=(60, 3))
+        X[:, 1] = X[:, 0] + rng.normal(0, 1e-3, 60)
+        t = X @ np.array([0.5, 0.3, 0.2]) + rng.normal(0, 0.05, 60)
+        assert cross_validated_mse(X, t, folds=10, seed=0) == pytest.approx(
+            lstsq_cv_mse(X, t, 10, 0), rel=1e-9)
+
+    def test_collinear_pair_below_pivot_tolerance_is_singular(self):
+        # Columns ~1e-6 apart leave a pivot ~1e-13 of the diagonal: every
+        # downdated training system must still be flagged, naming the
+        # second column of the pair.
+        rng = np.random.default_rng(35)
+        X = rng.uniform(0, 3, size=(60, 3))
+        X[:, 2] = X[:, 1] + rng.normal(0, 1e-6, 60)
+        t = X @ np.array([0.5, 0.3, 0.2]) + rng.normal(0, 0.05, 60)
+        with pytest.raises(SingularMatrixError, match="'c'"):
+            cross_validated_mse(X, t, folds=10, seed=0,
+                                environment_ids=("a", "b", "c"))
+
+    @pytest.mark.parametrize("with_intercept", [False, True])
+    def test_near_exact_fit_matches_oracle(self, with_intercept):
+        rng = np.random.default_rng(36)
+        X = rng.uniform(0, 3, size=(60, 5))
+        t = X @ np.array([0.4, 0.3, 0.1, 0.1, 0.1])
+        t += 1e-3 * np.abs(t).mean() * rng.normal(size=60)
+        assert cross_validated_mse(
+            X, t, folds=10, seed=1,
+            with_intercept=with_intercept) == pytest.approx(
+            lstsq_cv_mse(X, t, 10, 1, with_intercept), rel=1e-9)
+
     def test_rank_deficient_fold_raises(self):
         X = np.zeros((12, 2))
         X[:, 0] = np.arange(12)
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="column 1"):
             cross_validated_mse(X, np.arange(12.0), folds=3, seed=0)
 
     def test_preconditions(self):

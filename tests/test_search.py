@@ -6,7 +6,6 @@ import pytest
 from benchsel.data import FilterConfig, PreparedDataset
 from benchsel.errors import EmptySearchError, ValidationError
 from benchsel.formats import bank_from_dict, bank_to_dict, suite_to_dict
-from benchsel.linreg import cross_validated_mse
 from benchsel.search import (
     SearchConfig,
     enumerate_and_score,
@@ -14,7 +13,7 @@ from benchsel.search import (
     per_game_models,
     variance_explained,
 )
-from conftest import make_dataset, silent
+from conftest import lstsq_cv_mse, make_dataset, silent
 
 
 class TestSearchConfig:
@@ -110,7 +109,7 @@ class TestEnumerateAndScore:
             X = ds.log_scores[np.ix_(np.flatnonzero(usable), cols)]
             t = ds.targets[usable]
             assert cand.n_algorithms_used == len(t)
-            expected = cross_validated_mse(X, t, folds=10, seed=2)
+            expected = lstsq_cv_mse(X, t, folds=10, seed=2)
             assert cand.cv_mse == pytest.approx(expected, rel=1e-9)
 
     def test_insufficient_rows_skipped_and_counted(self):
@@ -151,7 +150,7 @@ class TestEnumerateAndScore:
             assert cand.model.intercept is not None
             cols = [name_to_col[e] for e in cand.subset]
             usable = ds.present[:, cols].all(axis=1)
-            expected = cross_validated_mse(
+            expected = lstsq_cv_mse(
                 ds.log_scores[np.ix_(np.flatnonzero(usable), cols)],
                 ds.targets[usable], folds=10, seed=5, with_intercept=True)
             assert cand.cv_mse == pytest.approx(expected, rel=1e-9)

@@ -1,4 +1,5 @@
-"""The benchmark's tracer and the demo scripts keep working.
+"""The benchmark's tracer and the demo scripts keep working, and the CLI
+starts without loading scipy.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
@@ -19,8 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMO = str(fixtures.demo_scores_path())
 
 
-def _run(argv, cwd):
-    env = dict(os.environ)
+def _run(argv, cwd, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *map(str, argv)], cwd=cwd, env=env,
@@ -44,6 +45,31 @@ def test_traced_run_records_layer_spans(tmp_path):
     assert {"data.load", "data.prepare", "manifest.sha256",
             "analysis.rank_single", "linreg.fit_ols",
             "predict.predict_summary"} <= names
+
+
+def test_traced_search_solves_once_per_block(tmp_path):
+    spans_path = tmp_path / "spans.json"
+    proc = _run([ROOT / "bench" / "traced.py", spans_path, "search",
+                 "--size", "3", "--threads", "1", "--min-games", "10",
+                 "--min-algos", "10", "--ignore-columns", "median57",
+                 "--scores", DEMO, "--out", tmp_path / "out", "--quiet"],
+                cwd=tmp_path, BENCHSEL_BLOCK_SIZE="64")
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())
+    blocks = [i for i, s in enumerate(spans)
+              if s["name"] == "search.score_block"]
+    solves = [s["parent"] for s in spans if s["name"] == "linreg.chol_solve"
+              and s["parent"] in blocks]
+    assert len(blocks) > 1
+    assert sorted(solves) == blocks
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # Importing scipy costs about a second, paid by every command.
+    proc = _run(["-c", "import sys, benchsel.cli; print(sorted(m for m in "
+                 "sys.modules if m.split('.')[0] == 'scipy'))"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
