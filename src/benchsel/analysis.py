@@ -175,6 +175,8 @@ def correlated_pairs(graph: CorrelationGraph, threshold: float = 0.9,
     """Top environment pairs by PCC, tagged when strictly above threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError("threshold must lie in [0, 1]")
+    if top_n < 0:
+        raise ValidationError("top_n must be >= 0")
     pairs = []
     n = len(graph.environments)
     for a in range(n):

@@ -249,8 +249,13 @@ def read_csv_rows(path, header=()) -> list[tuple[int, list[str]]]:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader
-                if any(cell.strip() for cell in row)]
+        try:
+            rows = [(reader.line_num, row) for row in reader
+                    if any(cell.strip() for cell in row)]
+        except UnicodeDecodeError:
+            raise SchemaError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise SchemaError(f"{path}: empty file")
     if not header:

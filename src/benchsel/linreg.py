@@ -1,20 +1,22 @@
 """Small dense least-squares core used by every subset fit.
 
 Designs here are tiny (at most 16 columns, a few hundred rows) but get
-solved millions of times during an exhaustive search, so the solver works
-on the normal equations with a hand-rolled Cholesky factorization that is
+solved millions of times during an exhaustive search, so the solver takes
+the augmented normal equations [X'X | X't] and eliminates them with a
+hand-rolled square-root-free Cholesky (L D L') that is
 
-  * batched: one call factors a whole stack of candidate systems, and
+  * batched: one call solves a whole stack of candidate systems, and
   * pivot-aware: a pivot below 1e-10 of the largest Gram diagonal flags
     that system as rank-deficient instead of raising mid-stack.
 
-The same factorization backs the unconstrained fit, the non-negative
-(active set) fit and k-fold cross-validation. Cross-validation has one
-engine, ``_cv_mse_batched``, shared by ``cross_validated_mse`` (one
-candidate) and the subset search (a block of candidates): it forms each
-fold's held-out Gram from padded held-out rows, gets every training Gram
-by subtracting that from the full Gram, and solves all candidates x folds
-systems in one batched call.
+The same solver backs the unconstrained fit, the non-negative (active
+set) fit and k-fold cross-validation. Cross-validation has one engine,
+``_cv_mse_batched``, shared by ``cross_validated_mse`` (one candidate)
+and the subset search (a block of candidates): with the target stored as
+the design's last column, one product over each fold's padded held-out
+rows gives that fold's Gram and right-hand side, every training system is
+the full system minus that, and all candidates x folds systems are solved
+in one batched call.
 """
 
 from __future__ import annotations
@@ -73,56 +75,45 @@ class LinearModel:
         return len(self.environment_ids)
 
 
-def _chol_factor_batched(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky-factor a stack of symmetric PSD matrices.
+def _chol_solve_batched(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of SPD systems G x = b given as augmented [G | b].
 
     Parameters
     ----------
-    G : ndarray, shape (..., C, C)
-        Normal matrices. Assumed symmetric; only the lower triangle is read.
+    A : ndarray, shape (..., C, C + 1)
+        Symmetric normal matrices G with the right-hand side b appended as
+        column C.
 
     Returns
     -------
-    L : ndarray, shape (..., C, C)
-        Lower-triangular factors. Rows flagged in ``bad`` contain garbage.
+    x : ndarray, shape (..., C)
+        Solutions. Systems flagged in ``bad`` get garbage.
     bad : ndarray, shape (...,)
         Index of the first column whose pivot fell at or below
         ``PIVOT_RTOL`` times the largest diagonal of its G, else -1.
+
+    The stack is moved to the last axis, so each step below is one
+    contiguous operation over every system. Gaussian elimination on a
+    symmetric G is the square-root-free Cholesky factorization G = L D L',
+    its pivots d_j are the squared diagonal of the Cholesky factor, and
+    eliminating column C along with G carries out the forward substitution
+    with L. One back substitution finishes the solve.
     """
-    G = np.asarray(G, dtype=np.float64)
-    C = G.shape[-1]
-    L = np.zeros_like(G)
-    diag = np.einsum("...ii->...i", G)
-    thresh = PIVOT_RTOL * diag.max(axis=-1)
-    bad = np.full(G.shape[:-2], -1, dtype=np.int64)
+    A = np.asarray(A, dtype=np.float64)
+    C = A.shape[-2]
+    W = np.moveaxis(A, (-2, -1), (0, 1)).copy()          # (C, C + 1, ...)
+    thresh = PIVOT_RTOL * W[range(C), range(C)].max(axis=0)
+    bad = np.full(A.shape[:-2], -1, dtype=np.int64)
+    d = np.empty((C,) + A.shape[:-2])
     for j in range(C):
-        pivot = G[..., j, j] - np.einsum(
-            "...k,...k->...", L[..., j, :j], L[..., j, :j])
-        newly_bad = (pivot <= thresh) & (bad == -1)
-        bad = np.where(newly_bad, j, bad)
-        root = np.sqrt(np.where(pivot > thresh, pivot, 1.0))
-        L[..., j, j] = root
-        if j + 1 < C:
-            s = G[..., j + 1:, j] - np.einsum(
-                "...ik,...k->...i", L[..., j + 1:, :j], L[..., j, :j])
-            L[..., j + 1:, j] = s / root[..., None]
-    return L, bad
-
-
-def _chol_solve_batched(G: np.ndarray, b: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of SPD systems G x = b; returns (x, bad) as above."""
-    L, bad = _chol_factor_batched(G)
-    C = G.shape[-1]
-    y = np.zeros_like(b)
-    for j in range(C):
-        y[..., j] = (b[..., j] - np.einsum(
-            "...k,...k->...", L[..., j, :j], y[..., :j])) / L[..., j, j]
-    x = np.zeros_like(b)
+        pivot = W[j, j]
+        bad[(pivot <= thresh) & (bad == -1)] = j
+        d[j] = np.where(pivot > thresh, pivot, 1.0)
+        W[j + 1:, j + 1:] -= (W[j + 1:, j] / d[j])[:, None] * W[j, j + 1:]
+    x = np.empty_like(d)
     for j in reversed(range(C)):
-        x[..., j] = (y[..., j] - np.einsum(
-            "...k,...k->...", L[..., j + 1:, j], x[..., j + 1:])) / L[..., j, j]
-    return x, bad
+        x[j] = (W[j, C] - (W[j, j + 1:C] * x[j + 1:]).sum(axis=0)) / d[j]
+    return np.moveaxis(x, 0, -1), bad
 
 
 def _column_name(j: int, n_envs: int, environment_ids) -> str:
@@ -154,9 +145,7 @@ def _as_design(X, t, with_intercept: bool):
 
 def _solve_normal_equations(X, t, with_intercept, environment_ids):
     Xa = np.hstack([X, np.ones((X.shape[0], 1))]) if with_intercept else X
-    G = Xa.T @ Xa
-    rhs = Xa.T @ t
-    beta, bad = _chol_solve_batched(G, rhs)
+    beta, bad = _chol_solve_batched(Xa.T @ np.column_stack([Xa, t]))
     if bad != -1:
         raise SingularMatrixError(
             _column_name(int(bad), X.shape[1], environment_ids))
@@ -207,8 +196,8 @@ def fit_ols(X, t, with_intercept: bool = False,
 def _nnls_active_set(A: np.ndarray, y: np.ndarray, environment_ids) -> np.ndarray:
     """Lawson-Hanson non-negative least squares on the normal equations."""
     m, n = A.shape
-    G = A.T @ A
-    rhs = A.T @ y
+    augmented = A.T @ np.column_stack([A, y])
+    G, rhs = augmented[:, :n], augmented[:, n]
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     w = rhs - G @ x
@@ -223,7 +212,8 @@ def _nnls_active_set(A: np.ndarray, y: np.ndarray, environment_ids) -> np.ndarra
         passive[candidates[int(np.argmax(w[candidates]))]] = True
         while True:
             idx = np.flatnonzero(passive)
-            sub, bad = _chol_solve_batched(G[np.ix_(idx, idx)], rhs[idx])
+            sub, bad = _chol_solve_batched(
+                augmented[np.ix_(idx, np.append(idx, n))])
             if bad != -1:
                 raise SingularMatrixError(
                     _column_name(int(idx[int(bad)]), n, environment_ids))
@@ -334,21 +324,19 @@ def fold_slots(rows: int, folds: int, seed: int, width: int,
     return slots
 
 
-def _cv_mse_batched(X: np.ndarray, t: np.ndarray, rows: np.ndarray,
+def _cv_mse_batched(Z: np.ndarray, rows: np.ndarray,
                     cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """k-fold CV of a stack of candidate designs by fold downdating.
 
     Parameters
     ----------
-    X : ndarray, shape (R + 1, K)
-        Every row and column any candidate may use; the last row is all
-        zeros and stands in for padding.
-    t : ndarray, shape (R + 1,)
-        Targets, with 0 in the padding row.
+    Z : ndarray, shape (R + 1, K)
+        Every row and column any candidate may use, targets included; the
+        last row is all zeros and stands in for padding.
     rows : ndarray, shape (N, F, S)
         Per candidate and fold, the held-out rows, padded with R.
-    cols : ndarray, shape (N, C)
-        Per candidate, the columns of ``X`` it fits.
+    cols : ndarray, shape (N, C + 1)
+        Per candidate, the columns of ``Z`` it fits, then its target column.
 
     Returns
     -------
@@ -356,26 +344,23 @@ def _cv_mse_batched(X: np.ndarray, t: np.ndarray, rows: np.ndarray,
         Mean over folds of held-out squared error / fold size.
     bad : ndarray, shape (N, F)
         Per fold, the first rank-deficient column of its training system,
-        else -1 (see ``_chol_factor_batched``).
+        else -1 (see ``_chol_solve_batched``).
 
-    Each training system is the candidate's full Gram minus its held-out
-    fold's Gram, and all N x F of them go through one batched solve.
-    Residuals are formed explicitly on held-out rows rather than expanded
-    as t'Pt - 2 beta'b + beta'G beta, which cancels badly on near-exact
-    fits. Padding rows contribute 0 to every Gram, right-hand side and
-    residual, so a candidate's result does not depend on the others in
-    the stack.
+    One product X'[X | t] over each fold's held-out rows gives that fold's
+    Gram and right-hand side together. Each training system is the
+    candidate's full system minus its held-out fold's, and all N x F of
+    them go through one batched solve. Residuals are formed explicitly on
+    held-out rows rather than expanded as t'Pt - 2 beta'b + beta'G beta,
+    which cancels badly on near-exact fits. Padding rows contribute 0 to
+    every Gram, right-hand side and residual, so a candidate's result does
+    not depend on the others in the stack.
     """
-    X_test = X[rows[..., None], cols[:, None, None, :]]   # (N, F, S, C)
-    t_test = t[rows]                                      # (N, F, S)
-    X_test_T = np.swapaxes(X_test, -1, -2)
-    G_test = X_test_T @ X_test
-    b_test = (X_test_T @ t_test[..., None])[..., 0]
-    G_train = G_test.sum(axis=1, keepdims=True) - G_test
-    b_train = b_test.sum(axis=1, keepdims=True) - b_test
-    beta, bad = _chol_solve_batched(G_train, b_train)
-    residual = (X_test @ beta[..., None])[..., 0] - t_test
-    fold_sizes = (rows != X.shape[0] - 1).sum(axis=-1)
+    Z_test = Z[rows[..., None], cols[:, None, None, :]]   # (N, F, S, C + 1)
+    X_test = Z_test[..., :-1]
+    A_test = np.swapaxes(X_test, -1, -2) @ Z_test
+    beta, bad = _chol_solve_batched(A_test.sum(axis=1, keepdims=True) - A_test)
+    residual = (X_test @ beta[..., None])[..., 0] - Z_test[..., -1]
+    fold_sizes = (rows != Z.shape[0] - 1).sum(axis=-1)
     cv = ((residual ** 2).sum(axis=-1) / fold_sizes).mean(axis=-1)
     return cv, bad
 
@@ -398,13 +383,13 @@ def cross_validated_mse(X, t, folds: int, seed: int,
     rows, n_envs = X.shape
     if rows < folds:
         raise ValidationError(f"need at least {folds} rows for {folds}-fold CV")
-    design = np.zeros((rows + 1, n_envs + int(with_intercept)))
+    design = np.zeros((rows + 1, n_envs + int(with_intercept) + 1))
     design[:rows, :n_envs] = X
     if with_intercept:
-        design[:rows, -1] = 1.0
-    target = np.append(t, 0.0)
+        design[:rows, -2] = 1.0
+    design[:rows, -1] = t
     slots = fold_slots(rows, folds, seed, -(-rows // folds), pad=rows)
-    cv, bad = _cv_mse_batched(design, target, slots[None],
+    cv, bad = _cv_mse_batched(design, slots[None],
                               np.arange(design.shape[1])[None])
     bad_folds = np.flatnonzero(bad[0] != -1)
     if len(bad_folds):

@@ -99,13 +99,9 @@ def inversion_count(order_a, order_b) -> int:
     if set(order_a) != set(order_b):
         raise ValidationError("rankings must cover the same items")
     position_b = {item: i for i, item in enumerate(order_b)}
-    sequence = [position_b[item] for item in order_a]
-    inversions = 0
-    for i in range(len(sequence)):
-        for j in range(i + 1, len(sequence)):
-            if sequence[i] > sequence[j]:
-                inversions += 1
-    return inversions
+    sequence = np.array([position_b[item] for item in order_a], dtype=np.int64)
+    return sum(int((sequence[i + 1:] < sequence[i]).sum())
+               for i in range(len(sequence)))
 
 
 def make_report(algorithm_id: str, predicted: float,

@@ -182,10 +182,10 @@ def _unrank_colex(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
 class _SearchContext:
     """Everything a worker needs to score a rank interval; fully picklable."""
 
-    X: np.ndarray          # (m + 1, n_env + 1) log scores, NaN->0, ones
-                           # column last, all-zero padding row last
+    X: np.ndarray          # (m + 1, n_env + 2) log scores, NaN->0, then a
+                           # ones column and the target column; all-zero
+                           # padding row last
     avail: np.ndarray      # (m, n_env + 1) bool, ones column all-True
-    t: np.ndarray          # (m + 1,), 0 in the padding row
     env_names: tuple[str, ...]
     pool: np.ndarray       # eligible column indices, ascending
     must_cols: np.ndarray  # forced column indices
@@ -238,13 +238,13 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     if len(ctx.must_cols):
         forced = np.broadcast_to(ctx.must_cols, (n_block, len(ctx.must_cols)))
         env_cols = np.sort(np.concatenate([forced, env_cols], axis=1), axis=1)
-    if ctx.with_intercept:
-        ones_col = np.full((n_block, 1), ctx.X.shape[1] - 1, dtype=np.int64)
-        fit_cols = np.concatenate([env_cols, ones_col], axis=1)
-    else:
-        fit_cols = env_cols
+    # The ones column if fitted, then the target column, which is last.
+    tail = np.arange(ctx.X.shape[1] - 1 - int(ctx.with_intercept),
+                     ctx.X.shape[1])
+    fit_cols = np.concatenate(
+        [env_cols, np.broadcast_to(tail, (n_block, len(tail)))], axis=1)
 
-    usable = ctx.avail[:, fit_cols].all(axis=2).T    # (n_block, m)
+    usable = ctx.avail[:, fit_cols[:, :-1]].all(axis=2).T    # (n_block, m)
     n_usable = usable.sum(axis=1)
     viable = n_usable >= ctx.min_rows
     n_skip_rows = int(n_block - viable.sum())
@@ -266,7 +266,7 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     slots = ctx.slots[n_usable]                       # (N, F, S) ranks
     rows = np.take_along_axis(
         row_of_rank, slots.reshape(len(keep), -1), axis=1).reshape(slots.shape)
-    cv, bad = _cv_mse_batched(ctx.X, ctx.t, rows, fit_cols)
+    cv, bad = _cv_mse_batched(ctx.X, rows, fit_cols)
 
     singular = (bad != -1).any(axis=1) | ~np.isfinite(cv)
     n_singular = int(singular.sum())
@@ -327,8 +327,9 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
             f"subset_size {config.subset_size} exceeds the {MAX_COLUMNS}"
             "-column solver limit")
     m, n = dataset.log_scores.shape
-    X = np.ones((m + 1, n + 1))
+    X = np.ones((m + 1, n + 2))
     X[:m, :n] = np.nan_to_num(dataset.log_scores, nan=0.0)
+    X[:m, n + 1] = dataset.targets
     X[m] = 0.0
     avail = np.ones((m, n + 1), dtype=bool)
     avail[:, :n] = dataset.present
@@ -351,7 +352,6 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
     return _SearchContext(
         X=X,
         avail=avail,
-        t=np.append(np.asarray(dataset.targets, dtype=np.float64), 0.0),
         env_names=dataset.environment_ids,
         pool=pool,
         must_cols=must_cols,
@@ -370,7 +370,7 @@ def _refit(ctx: _SearchContext, cols: tuple[int, ...], cv_mse: float
            ) -> LinearModel:
     rows = np.flatnonzero(ctx.avail[:, list(cols)].all(axis=1))
     names = tuple(ctx.env_names[c] for c in cols)
-    model = fit_ols(ctx.X[np.ix_(rows, list(cols))], ctx.t[rows],
+    model = fit_ols(ctx.X[np.ix_(rows, list(cols))], ctx.X[rows, -1],
                     with_intercept=ctx.with_intercept, environment_ids=names)
     return replace(model, stats=replace(model.stats, cv_mse=cv_mse))
 

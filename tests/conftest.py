@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from benchsel.data import FilterConfig, PreparedDataset
-from benchsel.linreg import fold_assignment
+from benchsel.linreg import PIVOT_RTOL, fold_assignment
 
 
 def silent(done, total):
@@ -52,6 +52,42 @@ def lstsq_cv_mse(X, t, folds, seed, with_intercept=False):
         beta = np.linalg.lstsq(X[~test], t[~test], rcond=None)[0]
         total += float(((X[test] @ beta - t[test]) ** 2).mean())
     return total / folds
+
+
+def cholesky_reference(G, b):
+    """Reference solver for stacks of SPD systems G x = b: a left-looking
+    Cholesky factorization G = L L', then forward and back substitution.
+
+    G has shape (..., C, C) (only its lower triangle is read), b has shape
+    (..., C). Returns (x, bad), where bad is the index of the first column
+    whose pivot fell at or below ``PIVOT_RTOL`` times the largest diagonal
+    of its G, else -1; x is garbage for flagged systems.
+    """
+    G = np.asarray(G, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    C = G.shape[-1]
+    L = np.zeros_like(G)
+    thresh = PIVOT_RTOL * np.einsum("...ii->...i", G).max(axis=-1)
+    bad = np.full(G.shape[:-2], -1, dtype=np.int64)
+    for j in range(C):
+        pivot = G[..., j, j] - np.einsum(
+            "...k,...k->...", L[..., j, :j], L[..., j, :j])
+        bad = np.where((pivot <= thresh) & (bad == -1), j, bad)
+        root = np.sqrt(np.where(pivot > thresh, pivot, 1.0))
+        L[..., j, j] = root
+        if j + 1 < C:
+            s = G[..., j + 1:, j] - np.einsum(
+                "...ik,...k->...i", L[..., j + 1:, :j], L[..., j, :j])
+            L[..., j + 1:, j] = s / root[..., None]
+    y = np.zeros_like(b)
+    for j in range(C):
+        y[..., j] = (b[..., j] - np.einsum(
+            "...k,...k->...", L[..., j, :j], y[..., :j])) / L[..., j, j]
+    x = np.zeros_like(b)
+    for j in reversed(range(C)):
+        x[..., j] = (y[..., j] - np.einsum(
+            "...k,...k->...", L[..., j + 1:, j], x[..., j + 1:])) / L[..., j, j]
+    return x, bad
 
 
 @pytest.fixture

@@ -128,6 +128,8 @@ class TestCorrelatedPairs:
         graph = pearson_matrix(ds)
         with pytest.raises(ValidationError):
             correlated_pairs(graph, threshold=1.5)
+        with pytest.raises(ValidationError):
+            correlated_pairs(graph, top_n=-1)
 
 
 class TestFairnessReport:

@@ -39,6 +39,20 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+@pytest.mark.parametrize("which", ["scores", "norms"])
+def test_undecodable_input_exits_one_with_one_line(toy_inputs, capsys, which):
+    scores, norms, tmp = toy_inputs
+    path = {"scores": scores, "norms": norms}[which]
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    rc = run(["search", "--scores", scores, "--norms", norms, "--size", "3",
+              "--out", tmp / "out"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("benchsel: error: ")
+    assert path.name in err[0]
+
+
 class TestSearchCommand:
     def test_default_pathway(self, toy_inputs, capsys):
         scores, norms, tmp = toy_inputs

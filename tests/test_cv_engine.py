@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from benchsel.data import FilterConfig, PreparedDataset
-from benchsel.linreg import _chol_solve_batched, fold_assignment
+from benchsel.linreg import fold_assignment
 from benchsel.search import (
     SearchConfig,
     _build_context,
@@ -23,7 +23,7 @@ from benchsel.search import (
     _unrank_colex,
     enumerate_and_score,
 )
-from conftest import lstsq_cv_mse, make_dataset, silent
+from conftest import cholesky_reference, lstsq_cv_mse, make_dataset, silent
 
 def per_fold_block_cv(ctx):
     """Score every candidate of a search with one solve per fold.
@@ -32,7 +32,7 @@ def per_fold_block_cv(ctx):
     candidates with enough usable rows.
     """
     m = ctx.avail.shape[0]
-    X, t = ctx.X[:m], ctx.t[:m]
+    X, t = ctx.X[:m, :-1], ctx.X[:m, -1]
     fold_table = np.full((m + 1, m), -1, dtype=np.int64)
     for rows in range(ctx.folds, m + 1):
         fold_table[rows, :rows] = fold_assignment(rows, ctx.folds, ctx.seed)
@@ -62,7 +62,7 @@ def per_fold_block_cv(ctx):
     for f in range(ctx.folds):
         w_train = ((fold_id != f) & usable).T
         At = (Xt * w_train[:, :, None]).transpose(0, 2, 1)
-        beta, bad = _chol_solve_batched(At @ Xt, At @ t)
+        beta, bad = cholesky_reference(At @ Xt, At @ t)
         singular |= bad != -1
         w_test = (fold_id == f).T
         residual = ((Xt @ beta[:, :, None])[:, :, 0] - t) * w_test

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from benchsel.analysis import load_categories
 from benchsel.data import (
     NormalizationTable,
     RawScoreTable,
@@ -16,6 +19,7 @@ from benchsel.data import (
     prepare_dataset,
 )
 from benchsel.errors import (
+    BenchselError,
     DegenerateDataError,
     EnvironmentLookupError,
     SchemaError,
@@ -103,6 +107,49 @@ class TestLoadScores:
         table, values = load_scores_with_values(path, ("median57",))
         assert table.environment_ids == ("Pong",)
         assert values["median57"] == {"a1": 42.5, "a2": None}
+
+
+CSV_TOKENS = ["algorithm", "environment", "random", "human", "category",
+              "provenance", "median57", "Pong", "PONG", "Q*Bert", "a1",
+              ",", ",", ",", "\n", "\n", "\r\n", '"', " ", "", "1",
+              "-2.5", "1e400", "nan", "inf", "0", "x", "\ufeff", "\x00",
+              "\xff", "\u00e9"]
+CSV_HEADERS = ["", "algorithm,Pong,median57\n", "environment,random,human\n",
+               "environment,category\n"]
+csv_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda header, tokens: (header + "".join(tokens)).encode(),
+              st.sampled_from(CSV_HEADERS),
+              st.lists(st.sampled_from(CSV_TOKENS), max_size=40)),
+)
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("raw", [
+        b"algorithm,Pong\na1,\xff5.0\n",
+        b"algorithm,Pong\na1," + b"9" * 140_000 + b"\n",
+    ], ids=["not-utf8", "huge-cell"])
+    @pytest.mark.parametrize("loader", [load_scores, load_norms,
+                                        load_categories])
+    def test_schema_error_names_file(self, tmp_path, raw, loader):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError, match="bad.csv"):
+            loader(path)
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=csv_bytes, value_columns=st.sampled_from([(), ("median57",)]))
+    def test_fuzzed_files_raise_only_benchsel_errors(self, tmp_path, raw,
+                                                     value_columns):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(raw)
+        for load in (lambda p: load_scores_with_values(p, value_columns),
+                     load_norms, load_categories):
+            try:
+                load(path)
+            except BenchselError:
+                pass
 
 
 class TestNormalize:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 from benchsel.errors import (
@@ -18,13 +20,14 @@ from benchsel.formats import (
 )
 from benchsel.linreg import (
     LinearModel,
+    _chol_solve_batched,
     cross_validated_mse,
     fit_nnls,
     fit_ols,
     predict_linear,
     r_squared,
 )
-from conftest import lstsq_cv_mse
+from conftest import cholesky_reference, lstsq_cv_mse
 
 
 def brute_force_ols(X, t, with_intercept=False):
@@ -34,6 +37,59 @@ def brute_force_ols(X, t, with_intercept=False):
     if with_intercept:
         return beta[:-1], beta[-1]
     return beta, None
+
+
+# Both solvers are backward stable: on a system with condition number
+# kappa, each solution is within about kappa * C * eps of the exact one.
+# The regular stacks below have kappa <= C + 1 <= 17 and C <= 16, so the
+# two agree to about 6e-14 in norm; 1e-12 (about 4,500 eps) is the bound.
+SOLVER_RTOL = 1e-12
+
+stack_shapes = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 9)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+)
+
+
+class TestBatchedSolver:
+    """``_chol_solve_batched`` against the Cholesky reference it replaced."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), C=st.integers(1, 16),
+           shape=stack_shapes)
+    def test_regular_stacks_match_reference(self, seed, C, shape):
+        # G = B B' + C I with |B_ij| <= 1 has eigenvalues in [C, C + C^2].
+        rng = np.random.default_rng(seed)
+        B = rng.uniform(-1.0, 1.0, size=(*shape, C, C))
+        G = B @ np.swapaxes(B, -1, -2) + C * np.eye(C)
+        b = rng.normal(size=(*shape, C))
+        x, bad = _chol_solve_batched(np.concatenate([G, b[..., None]], -1))
+        x_ref, bad_ref = cholesky_reference(G, b)
+        assert x.shape == x_ref.shape
+        assert np.all(np.linalg.norm(x - x_ref, axis=-1)
+                      <= SOLVER_RTOL * np.linalg.norm(x_ref, axis=-1))
+        assert np.array_equal(bad, bad_ref)
+        assert np.all(bad == -1)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), C=st.integers(2, 16),
+           shape=stack_shapes, data=st.data())
+    def test_copied_column_flags_match_reference(self, seed, C, shape, data):
+        first = data.draw(st.integers(0, C - 2), label="first")
+        copy = data.draw(st.integers(first + 1, C - 1), label="copy")
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(*shape, 3 * C + 2, C))
+        t = rng.normal(size=(*shape, 3 * C + 2))
+        copied = rng.random(shape) < 0.5
+        X[..., copy] = np.where(copied[..., None], X[..., first],
+                                X[..., copy])
+        Xt = np.swapaxes(X, -1, -2)
+        G, b = Xt @ X, (Xt @ t[..., None])[..., 0]
+        _, bad = _chol_solve_batched(np.concatenate([G, b[..., None]], -1))
+        _, bad_ref = cholesky_reference(G, b)
+        assert np.array_equal(bad, bad_ref)
+        assert np.array_equal(bad, np.where(copied, copy, -1))
 
 
 class TestFitOls:

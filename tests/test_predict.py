@@ -134,7 +134,25 @@ class TestApproxRelativeError:
         assert np.abs(approx - exact).max() <= 0.006
 
 
+def pairwise_inversions(order_a, order_b):
+    """Reference: count the discordant pairs one pair at a time."""
+    position_b = {item: i for i, item in enumerate(order_b)}
+    sequence = [position_b[item] for item in order_a]
+    return sum(1 for i in range(len(sequence))
+               for j in range(i + 1, len(sequence))
+               if sequence[i] > sequence[j])
+
+
 class TestInversionCount:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
+    def test_matches_pairwise_reference(self, n):
+        rng = np.random.default_rng(n)
+        items = [f"x{i}" for i in range(n)]
+        for _ in range(10):
+            a = list(rng.permutation(items))
+            b = list(rng.permutation(items))
+            assert inversion_count(a, b) == pairwise_inversions(a, b)
+
     def test_identical_orderings(self):
         order = ["a", "b", "c", "d"]
         assert inversion_count(order, list(order)) == 0

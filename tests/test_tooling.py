@@ -49,19 +49,34 @@ def test_traced_run_records_layer_spans(tmp_path):
 
 def test_traced_search_solves_once_per_block(tmp_path):
     spans_path = tmp_path / "spans.json"
+    # 23 folds need 23 usable algorithms, which some candidates lack, so
+    # the count below also shows that skipped candidates are not solved.
     proc = _run([ROOT / "bench" / "traced.py", spans_path, "search",
-                 "--size", "3", "--threads", "1", "--min-games", "10",
-                 "--min-algos", "10", "--ignore-columns", "median57",
+                 "--size", "3", "--folds", "23", "--threads", "1",
+                 "--min-games", "10", "--min-algos", "10",
+                 "--ignore-columns", "median57",
                  "--scores", DEMO, "--out", tmp_path / "out", "--quiet"],
                 cwd=tmp_path, BENCHSEL_BLOCK_SIZE="64")
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(spans_path.read_text())
     blocks = [i for i, s in enumerate(spans)
               if s["name"] == "search.score_block"]
-    solves = [s["parent"] for s in spans if s["name"] == "linreg.chol_solve"
+    solves = [s for s in spans if s["name"] == "linreg.chol_solve"
               and s["parent"] in blocks]
     assert len(blocks) > 1
-    assert sorted(solves) == blocks
+    assert sorted(s["parent"] for s in solves) == blocks
+
+    # Every candidate with enough usable rows is solved once per fold,
+    # singular ones included.
+    preamble = dict(
+        field.split("=") for line in
+        (tmp_path / "out" / "ranked.csv").read_text().splitlines()
+        if line.startswith(("# config:", "# candidates:"))
+        for field in line.split()[2:])
+    assert int(preamble["skipped_rows"]) > 0
+    assert sum(s["attrs"]["systems"] for s in solves) == (
+        (int(preamble["total"]) - int(preamble["skipped_rows"]))
+        * int(preamble["folds"]))
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
