@@ -1,5 +1,5 @@
-"""The benchmark's tracer and the demo scripts keep working, and the CLI
-starts without loading scipy.
+"""The benchmark's tracer and the demo scripts keep working, the CLI
+starts without loading scipy, and CV blocks reuse freed memory.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
@@ -85,6 +85,40 @@ def test_cli_import_loads_no_scipy(tmp_path):
                  "sys.modules if m.split('.')[0] == 'scipy'))"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+REPEATED_BLOCKS = """
+import resource
+import numpy as np
+from benchsel import cli, linreg
+cli._retain_freed_memory()
+rng = np.random.default_rng(0)
+Z = np.vstack([rng.normal(size=(62, 8)), np.zeros((1, 8))])
+rows = rng.integers(0, 63, size=(800, 10, 7))
+cols = np.broadcast_to(np.arange(8), (800, 8))
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    linreg._cv_mse_batched(Z, rows, cols)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="sets glibc malloc thresholds")
+def test_repeated_cv_blocks_fault_in_no_new_pages(tmp_path):
+    # The first block maps its ~19 MB of temporaries; with glibc's default
+    # thresholds every later block faults them in again (~4,400 faults).
+    proc = _run(["-c", REPEATED_BLOCKS], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(n) for n in proc.stdout.split()]
+    assert faults[0] > 1000
+    assert max(faults[1:]) < faults[0] // 20
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
