@@ -105,9 +105,12 @@ def _add_search_flags(parser: argparse.ArgumentParser):
                         help="cross-validation folds")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the fold shuffle")
+    # argparse converts a string default with ``type`` only when the flag
+    # is absent, so a malformed BENCHSEL_THREADS is a usage error.
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("BENCHSEL_THREADS", "0")),
-                        help="worker processes; 0 = auto-detect")
+                        default=os.environ.get("BENCHSEL_THREADS", "0"),
+                        help="worker processes; 0 = auto-detect "
+                             "(default: $BENCHSEL_THREADS or 0)")
 
 
 def _split_csv_flag(raw: str) -> tuple[str, ...]:

@@ -10,13 +10,16 @@ hand-rolled square-root-free Cholesky (L D L') that is
     that system as rank-deficient instead of raising mid-stack.
 
 The same solver backs the unconstrained fit, the non-negative (active
-set) fit and k-fold cross-validation. Cross-validation has one engine,
-``_cv_mse_batched``, shared by ``cross_validated_mse`` (one candidate)
-and the subset search (a block of candidates): with the target stored as
-the design's last column, one product over each fold's padded held-out
-rows gives that fold's Gram and right-hand side, every training system is
-the full system minus that, and all candidates x folds systems are solved
-in one batched call.
+set) fit and k-fold cross-validation. Cross-validation downdates: with the
+target stored as the design's last column, one product over each fold's
+padded held-out rows gives that fold's Gram and right-hand side, every
+training system is the full system minus that, and all candidates x folds
+systems are solved in one batched call. ``_cv_mse_batched`` forms those
+products per candidate from gathered rows; ``cross_validated_mse`` (one
+candidate) and subset searches with scattered gaps use it.
+``_fold_tables`` forms them once per usable-row mask over every column a
+search can fit, and ``_cv_mse_tabled`` scores a block of candidates
+sharing those masks by gathering from the tables.
 """
 
 from __future__ import annotations
@@ -362,6 +365,90 @@ def _cv_mse_batched(Z: np.ndarray, rows: np.ndarray,
     residual = (X_test @ beta[..., None])[..., 0] - Z_test[..., -1]
     fold_sizes = (rows != Z.shape[0] - 1).sum(axis=-1)
     cv = ((residual ** 2).sum(axis=-1) / fold_sizes).mean(axis=-1)
+    return cv, bad
+
+
+def _fold_tables(Z: np.ndarray, masks: np.ndarray, cols: np.ndarray,
+                 folds: int, seed: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-mask fold tables for ``_cv_mse_tabled``.
+
+    Parameters
+    ----------
+    Z : ndarray, shape (R + 1, ·)
+        As in ``_cv_mse_batched``: the last row is all zeros.
+    masks : ndarray, shape (M, R)
+        Usable rows, one mask per table.
+    cols : ndarray, shape (K,)
+        The columns of ``Z`` the tables hold, target column last.
+
+    Returns
+    -------
+    held : ndarray, shape (S, M, K, F)
+        Per held-out slot (S = ceil(R / folds), as for every candidate of
+        a search without tables), mask and column, each fold's held-out
+        value, padded with 0.
+    train : ndarray, shape (M, K, K, F)
+        Per mask, Gram entry and fold, the training system: the Gram of
+        all usable rows minus the held-out fold's. Folds are the last
+        axis, the stack axis of ``_chol_solve_batched``'s elimination.
+    fold_sizes : ndarray, shape (M, F)
+        Held-out rows per fold.
+
+    Folds are those of ``fold_assignment`` over the mask's usable rows in
+    ascending order, as in a search without tables. A mask with fewer
+    usable rows than folds gets zero tables and fold sizes of 1.
+    """
+    R, K = Z.shape[0] - 1, len(cols)
+    width = -(-R // folds)
+    held = np.zeros((width, len(masks), K, folds))
+    train = np.zeros((len(masks), K, K, folds))
+    fold_sizes = np.ones((len(masks), folds), dtype=np.int64)
+    for i, mask in enumerate(masks):
+        usable = np.append(np.flatnonzero(mask), R)
+        n = len(usable) - 1
+        if n < folds:
+            continue
+        ranks = fold_slots(n, folds, seed, width, pad=n)
+        H = Z[usable[ranks][..., None], cols]             # (F, S, K)
+        G = np.swapaxes(H, -1, -2) @ H
+        train[i] = np.moveaxis(G.sum(axis=0) - G, 0, -1)
+        held[:, i] = np.transpose(H, (1, 2, 0))
+        fold_sizes[i] = (ranks != n).sum(axis=1)
+    return held, train, fold_sizes
+
+
+def _cv_mse_tabled(held: np.ndarray, train: np.ndarray,
+                   fold_sizes: np.ndarray, mask_ids: np.ndarray,
+                   cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k-fold CV of a stack of candidates from ``_fold_tables``.
+
+    ``mask_ids`` (N,) picks each candidate's mask and ``cols`` (N, C + 1)
+    its table columns, target last. Returns ``(cv, bad)`` as
+    ``_cv_mse_batched`` does.
+
+    Every entry of the training systems [G | b] is one gather of a run of
+    F folds from ``train``, laid out as the batched solve eliminates it,
+    and all N x F systems go through one batched solve. Residuals are
+    formed explicitly, one fitted column at a time, over every held-out
+    slot, candidate and fold at once; with slots first, each step runs
+    over long contiguous rows. Every step works on fixed per-candidate
+    shapes, so a candidate's result does not depend on the others in the
+    stack.
+    """
+    M, K, _, F = train.shape
+    fit, both = cols[:, :-1].T, cols.T                    # (C, N), (C + 1, N)
+    entry = mask_ids * (K * K) + fit[:, None] * K + both  # (C, C + 1, N)
+    systems = np.take(train.reshape(M * K * K, F), entry, axis=0)
+    beta, bad = _chol_solve_batched(np.moveaxis(systems, (0, 1), (-2, -1)))
+    coef = np.moveaxis(beta, -1, 0)                       # (C, N, F)
+    runs = held.reshape(len(held), M * K, F)
+    run_of = mask_ids * K + both                          # (C + 1, N)
+    residual = np.take(runs, run_of[0], axis=1) * coef[0]  # (S, N, F)
+    for i in range(1, len(coef)):
+        residual += np.take(runs, run_of[i], axis=1) * coef[i]
+    residual -= np.take(runs, run_of[-1], axis=1)
+    cv = ((residual ** 2).sum(axis=0) / fold_sizes[mask_ids]).mean(axis=-1)
     return cv, bad
 
 

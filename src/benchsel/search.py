@@ -3,14 +3,30 @@
 Candidate subsets are enumerated in colexicographic order through the
 combinatorial number system, so a block of candidates is fully determined
 by a rank interval [start, stop). Workers receive rank intervals, unrank
-them to index arrays, and score a whole block at once through
-``linreg._cv_mse_batched``: a per-search slot table, indexed by the number
-of usable algorithms, lists each fold's held-out usable ranks, so a block
-gathers every candidate's held-out rows, downdates the full Gram by each
-fold's, and solves all candidates x folds systems in one batched call. A
-candidate's result does not depend on the block it lands in, and the
-final merge uses the total order (cv_mse, sorted environment names), so
-the ranking is bit-identical whatever the worker count or block size.
+them to index arrays, and score a whole block at once with one of two
+engines:
+
+* Fold tables (``linreg._cv_mse_tabled``). Fittable columns whose
+  availability is identical form one class, so a candidate's usable rows
+  depend only on the set of classes it touches, encoded as a bit key.
+  When tables for every reachable key fit in ``WORKING_SET_DOUBLES``, the
+  search builds them once: per key, the held-out design of each fold and
+  each fold's training Gram over every fittable column. A block then
+  looks up each candidate's key, gathers its training systems from the
+  tables and its held-out values for the residuals. Leaderboard gaps
+  (whole games missing for some algorithms) leave a few classes and
+  thousands of candidates per key.
+* Gathered rows (``linreg._cv_mse_batched``), when the tables would not
+  fit, as with scattered gaps, where nearly every game is its own class.
+  A per-search slot table, indexed by the number of usable algorithms,
+  lists each fold's held-out usable ranks, so a block gathers every
+  candidate's held-out rows, downdates the full Gram by each fold's.
+
+Either way all candidates x folds systems of a block are solved in one
+batched call. A candidate's result does not depend on the block it lands
+in, and the final merge uses the total order (cv_mse, sorted environment
+names), so the ranking is bit-identical whatever the worker count or
+block size.
 
 Per subset, any algorithm missing one of the required scores is dropped
 for that candidate only. Candidates left with fewer usable algorithms
@@ -20,6 +36,8 @@ needs) are skipped and counted, never silently dropped.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import multiprocessing
 import os
@@ -39,6 +57,8 @@ from .linreg import (
     FitStats,
     LinearModel,
     _cv_mse_batched,
+    _cv_mse_tabled,
+    _fold_tables,
     fit_ols,
     fold_slots,
 )
@@ -46,6 +66,11 @@ from .linreg import (
 MAX_ENUMERATION = 1 << 50
 PIPELINE_MIN_ENVIRONMENTS = 15
 PROGRESS_STRIDE = 1_000_000
+# Doubles a search block's largest arrays may take, and the per-search
+# fold tables too: 450k (3.6 MB) scored fastest at 3, 5 and 10 columns on
+# a Xeon with 2 MiB of L2 per core; larger blocks push the Cholesky sweeps
+# out to L3.
+WORKING_SET_DOUBLES = 450_000
 
 
 @dataclass(frozen=True)
@@ -179,6 +204,26 @@ def _unrank_colex(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
 # Block scoring engine.
 
 @dataclass
+class _MaskTables:
+    """Fold tables of every usable-row mask a search's candidates can have.
+
+    Fittable columns with identical availability form one class, and a
+    candidate's usable rows are those present in every class it touches,
+    so the set of classes, a bit key, names its mask.
+    """
+
+    class_bit: np.ndarray  # (n_env + 2,) int64: bit of each column's class;
+                           # 0 for a class with every row present, for the
+                           # ones and target columns and excluded columns
+    keys: np.ndarray       # (M,) every reachable key, ascending
+    n_usable: np.ndarray   # (M,) usable rows per key
+    table_col: np.ndarray  # (n_env + 2,) column of X -> table column
+    held: np.ndarray       # (S, M, K, F) see ``linreg._fold_tables``
+    train: np.ndarray      # (M, K, K, F)
+    fold_sizes: np.ndarray  # (M, F)
+
+
+@dataclass
 class _SearchContext:
     """Everything a worker needs to score a rank interval; fully picklable."""
 
@@ -196,8 +241,10 @@ class _SearchContext:
     top_k: int
     min_rows: int
     comb: np.ndarray       # binomial table for the pool
-    slots: np.ndarray      # (m + 1, folds, ceil(m / folds)): by usable-row
-                           # count, each fold's usable ranks, padded with m
+    slots: np.ndarray | None  # (m + 1, folds, ceil(m / folds)): by usable-
+                              # row count, each fold's usable ranks, padded
+                              # with m; None when ``tables`` are built
+    tables: _MaskTables | None
 
     @property
     def k_free(self) -> int:
@@ -214,15 +261,18 @@ def _slot_table(m: int, folds: int, seed: int) -> np.ndarray:
 def _block_size(ctx: _SearchContext) -> int:
     override = os.environ.get("BENCHSEL_BLOCK_SIZE")
     if override:
-        return max(1, int(override))
+        try:
+            return max(1, int(override))
+        except ValueError:
+            raise ValidationError(
+                f"BENCHSEL_BLOCK_SIZE must be an integer, got {override!r}"
+            ) from None
     m = ctx.avail.shape[0]
     cols = ctx.subset_size + int(ctx.with_intercept)
     # Doubles a candidate takes in the block's largest arrays: its held-out
-    # rows (about m x cols) and one cols x cols Gram per fold. 450k of them
-    # (3.6 MB) scored fastest at 3, 5 and 10 columns on a Xeon with 2 MiB
-    # of L2 per core; larger blocks push the Cholesky sweeps out to L3.
+    # rows (about m x cols) and one cols x cols Gram per fold.
     per_candidate = cols * (m + ctx.folds * cols)
-    return int(max(256, min(32768, 450_000 // per_candidate)))
+    return int(max(256, min(32768, WORKING_SET_DOUBLES // per_candidate)))
 
 
 def _score_block(ctx: _SearchContext, start: int, stop: int):
@@ -244,8 +294,14 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     fit_cols = np.concatenate(
         [env_cols, np.broadcast_to(tail, (n_block, len(tail)))], axis=1)
 
-    usable = ctx.avail[:, fit_cols[:, :-1]].all(axis=2).T    # (n_block, m)
-    n_usable = usable.sum(axis=1)
+    tables = ctx.tables
+    if tables is None:
+        usable = ctx.avail[:, fit_cols[:, :-1]].all(axis=2).T  # (n_block, m)
+        n_usable = usable.sum(axis=1)
+    else:
+        mask_id = np.searchsorted(tables.keys, np.bitwise_or.reduce(
+            tables.class_bit[env_cols], axis=1))
+        n_usable = tables.n_usable[mask_id]
     viable = n_usable >= ctx.min_rows
     n_skip_rows = int(n_block - viable.sum())
     if not viable.any():
@@ -254,19 +310,13 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     keep = np.flatnonzero(viable)
     env_cols = env_cols[keep]
     fit_cols = fit_cols[keep]
-    usable = usable[keep]
     n_usable = n_usable[keep]
-
-    # Row index of each usable rank (usable rows first, ascending), with
-    # the padding rank m mapped to the all-zero padding row m.
-    m = usable.shape[1]
-    row_of_rank = np.empty((len(keep), m + 1), dtype=np.int64)
-    row_of_rank[:, :m] = np.argsort(~usable, axis=1, kind="stable")
-    row_of_rank[:, m] = m
-    slots = ctx.slots[n_usable]                       # (N, F, S) ranks
-    rows = np.take_along_axis(
-        row_of_rank, slots.reshape(len(keep), -1), axis=1).reshape(slots.shape)
-    cv, bad = _cv_mse_batched(ctx.X, rows, fit_cols)
+    if tables is None:
+        rows = _held_out_rows(ctx, usable[keep], n_usable)
+        cv, bad = _cv_mse_batched(ctx.X, rows, fit_cols)
+    else:
+        cv, bad = _cv_mse_tabled(tables.held, tables.train, tables.fold_sizes,
+                                 mask_id[keep], tables.table_col[fit_cols])
 
     singular = (bad != -1).any(axis=1) | ~np.isfinite(cv)
     n_singular = int(singular.sum())
@@ -287,6 +337,21 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
                           int(n_usable[cand])))
     finalists.sort(key=lambda e: (e[0], e[1]))
     return len(cv) - n_singular, n_skip_rows, n_singular, finalists[:ctx.top_k]
+
+
+def _held_out_rows(ctx: _SearchContext, usable: np.ndarray,
+                   n_usable: np.ndarray) -> np.ndarray:
+    """(N, F, S) held-out rows of candidates with usable-row masks
+    ``usable`` (N, m), padded with the all-zero row m."""
+    # Row index of each usable rank (usable rows first, ascending), with
+    # the padding rank m mapped to the padding row.
+    n, m = usable.shape
+    row_of_rank = np.empty((n, m + 1), dtype=np.int64)
+    row_of_rank[:, :m] = np.argsort(~usable, axis=1, kind="stable")
+    row_of_rank[:, m] = m
+    slots = ctx.slots[n_usable]                       # (N, F, S) ranks
+    return np.take_along_axis(
+        row_of_rank, slots.reshape(n, -1), axis=1).reshape(slots.shape)
 
 
 _WORKER_CTX: _SearchContext | None = None
@@ -349,6 +414,7 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
         raise ValidationError("search space too large to enumerate exhaustively")
 
     cols_fit = config.subset_size + int(config.with_intercept)
+    tables = _mask_tables(X, avail, pool, must_cols, k_free, config)
     return _SearchContext(
         X=X,
         avail=avail,
@@ -362,8 +428,59 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
         top_k=config.top_k,
         min_rows=max(cols_fit + 2, config.folds),
         comb=_comb_table(len(pool), k_free),
-        slots=_slot_table(m, config.folds, config.seed),
+        slots=(_slot_table(m, config.folds, config.seed)
+               if tables is None else None),
+        tables=tables,
     )
+
+
+def _mask_tables(X: np.ndarray, avail: np.ndarray, pool: np.ndarray,
+                 must_cols: np.ndarray, k_free: int, config: SearchConfig
+                 ) -> _MaskTables | None:
+    """Fold tables for every mask the search can reach, or None when they
+    would not fit in ``WORKING_SET_DOUBLES``."""
+    m, n = avail.shape[0], X.shape[1] - 2
+    fittable = np.sort(np.concatenate([pool, must_cols]))
+    # A class with every row present restricts no mask and gets no bit.
+    classes: dict[bytes, int] = {}
+    class_bit = np.zeros(n + 2, dtype=np.int64)
+    for j in fittable:
+        if not avail[:, j].all():
+            c = classes.setdefault(avail[:, j].tobytes(), len(classes))
+            if c > 62:
+                return None
+            class_bit[j] = 1 << c
+    table_cols = np.concatenate([fittable, [n] if config.with_intercept
+                                 else [], [n + 1]]).astype(np.int64)
+    width = -(-m // config.folds)
+    per_key = config.folds * len(table_cols) * (len(table_cols) + width)
+    most = WORKING_SET_DOUBLES // per_key
+
+    # A candidate touches every class of its forced columns and a set of
+    # at most k_free pool classes holding at least k_free pool columns.
+    must_key = int(np.bitwise_or.reduce(class_bit[must_cols]))
+    count = collections.Counter(class_bit[pool].tolist())
+    keys = {must_key} if k_free == 0 else set()
+    for size in range(min(k_free, len(count)), 0, -1):
+        for combo in itertools.combinations(sorted(count), size):
+            if sum(count[bit] for bit in combo) >= k_free:
+                keys.add(must_key | sum(combo))  # distinct bits
+                if len(keys) > most:
+                    return None
+    if len(keys) > most:
+        return None
+
+    keys = np.array(sorted(keys), dtype=np.int64)
+    absent = ~np.frombuffer(b"".join(classes), dtype=bool).reshape(-1, m)
+    touched = (keys[:, None] >> np.arange(len(classes))) & 1 == 1
+    masks = ~(touched[:, :, None] & absent).any(axis=1)
+    held, train, fold_sizes = _fold_tables(X, masks, table_cols,
+                                           config.folds, config.seed)
+    table_col = np.full(n + 2, -1, dtype=np.int64)
+    table_col[table_cols] = np.arange(len(table_cols))
+    return _MaskTables(class_bit=class_bit, keys=keys,
+                       n_usable=masks.sum(axis=1), table_col=table_col,
+                       held=held, train=train, fold_sizes=fold_sizes)
 
 
 def _refit(ctx: _SearchContext, cols: tuple[int, ...], cv_mse: float

@@ -10,17 +10,29 @@ def silent(done, total):
 
 
 def make_dataset(m=40, n=16, seed=0, signal=None, noise=0.02,
-                 missing_fraction=0.0):
+                 missing_fraction=0.0, gaps="iid"):
     """Synthetic PreparedDataset with a known linear target.
 
     ``signal`` maps column index -> coefficient; the target is the signal
     combination of those columns plus Gaussian noise. Environment names are
     env01..envNN (1-based, so column j is named env{j+1:02d}).
+
+    ``gaps="iid"`` drops each score with probability ``missing_fraction``.
+    ``gaps="block"`` drops whole games, as leaderboards do: columns 1..n-1
+    are dealt into four groups, and each of the first three groups is
+    missing for the algorithms drawn with that probability, so the columns
+    fall into at most four availability classes.
     """
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 3.0, size=(m, n))
     if missing_fraction:
-        holes = rng.random((m, n)) < missing_fraction
+        if gaps == "iid":
+            holes = rng.random((m, n)) < missing_fraction
+        else:
+            holes = np.zeros((m, n), dtype=bool)
+            groups = np.array_split(rng.permutation(np.arange(1, n)), 4)
+            for games in groups[:3]:
+                holes[np.ix_(rng.random(m) < missing_fraction, games)] = True
         # keep every row/column well populated
         holes[:, 0] = False
         holes[0, :] = False

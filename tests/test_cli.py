@@ -100,6 +100,31 @@ class TestSearchCommand:
             run(["search", "--scores", scores, "--norms", norms])
         assert exc.value.code == 2
 
+    def test_malformed_threads_variable_is_a_usage_error(
+            self, toy_inputs, capsys, monkeypatch):
+        monkeypatch.setenv("BENCHSEL_THREADS", "x")
+        scores, norms, tmp = toy_inputs
+        with pytest.raises(SystemExit) as exc:
+            run(["search", "--scores", scores, "--norms", norms,
+                 "--size", "2", "--out", tmp / "out"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: ")
+        assert "argument --threads: invalid int value: 'x'" in err[-1]
+
+    def test_malformed_block_size_variable_exits_one_with_one_line(
+            self, toy_inputs, capsys, monkeypatch):
+        monkeypatch.setenv("BENCHSEL_BLOCK_SIZE", "abc")
+        scores, norms, tmp = toy_inputs
+        rc = run(["search", "--scores", scores, "--norms", norms,
+                  "--size", "2", "--min-games", "5", "--min-algos", "5",
+                  "--ignore-columns", "truecol", "--folds", "5",
+                  "--threads", "1", "--out", tmp / "out", "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["benchsel: error: BENCHSEL_BLOCK_SIZE must be an "
+                       "integer, got 'abc'"]
+
     def test_auto_threads_records_workers_used(self, toy_inputs):
         scores, norms, tmp = toy_inputs
         out = tmp / "search-auto"

@@ -1,11 +1,17 @@
-"""The fold-downdate CV engine against its references.
+"""The fold-downdate CV engines against their references.
+
+A search scores its candidates from per-search fold tables when they fit
+(``linreg._cv_mse_tabled``) and by gathering each block's held-out rows
+otherwise (``linreg._cv_mse_batched``). ``cv_engine`` forces either one,
+and the properties below hold for both.
 
 ``per_fold_block_cv`` is the block engine that fold downdating replaced:
 for every fold it rebuilds each candidate's Gram over all rows and its
-residuals over all rows. It is kept here as the reference. The two engines
+residuals over all rows. It is kept here as the reference. The engines
 sum in a different order, so they agree to a tolerance, not to the bit.
 """
 
+import contextlib
 import itertools
 import math
 
@@ -14,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from benchsel import search
 from benchsel.data import FilterConfig, PreparedDataset
 from benchsel.linreg import fold_assignment
 from benchsel.search import (
@@ -24,6 +31,19 @@ from benchsel.search import (
     enumerate_and_score,
 )
 from conftest import cholesky_reference, lstsq_cv_mse, make_dataset, silent
+
+ENGINES = ("tables", "gather")
+
+
+@contextlib.contextmanager
+def cv_engine(name):
+    """Inside the ``with`` block, searches score with the fold-table engine
+    (the default, where the tables fit) or with the gather engine."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "gather":
+            mp.setattr(search, "_mask_tables", lambda *args: None)
+        yield
+
 
 def per_fold_block_cv(ctx):
     """Score every candidate of a search with one solve per fold.
@@ -87,16 +107,17 @@ def test_matches_per_fold_reference(seed, with_intercept):
     config = SearchConfig(subset_size=3, folds=10, seed=seed,
                           with_intercept=with_intercept, top_k=1000)
     reference = per_fold_block_cv(_build_context(ds, config))
-    result = enumerate_and_score(ds, config, progress=silent)
-
     expected = sorted((cv, key) for key, cv in reference.items()
                       if cv is not None)
-    assert [tuple(sorted(c.subset)) for c in result.ranked] == \
-           [key for _, key in expected]
-    for cand, (cv, _) in zip(result.ranked, expected):
-        assert cand.cv_mse == pytest.approx(cv, rel=1e-11)
-    assert result.scored == len(expected)
-    assert result.skipped_singular == len(reference) - len(expected)
+    for engine in ENGINES:
+        with cv_engine(engine):
+            result = enumerate_and_score(ds, config, progress=silent)
+        assert [tuple(sorted(c.subset)) for c in result.ranked] == \
+               [key for _, key in expected]
+        for cand, (cv, _) in zip(result.ranked, expected):
+            assert cand.cv_mse == pytest.approx(cv, rel=1e-11)
+        assert result.scored == len(expected)
+        assert result.skipped_singular == len(reference) - len(expected)
 
 
 @pytest.mark.parametrize("with_intercept", [False, True],
@@ -113,11 +134,14 @@ def test_singular_verdicts_match_per_fold_reference(with_intercept):
     config = SearchConfig(subset_size=3, folds=10, seed=1,
                           with_intercept=with_intercept, top_k=1000)
     reference = per_fold_block_cv(_build_context(ds, config))
-    scored = _scored(enumerate_and_score(ds, config, progress=silent))
-    assert set(scored) == {k for k, cv in reference.items() if cv is not None}
-    assert len(scored) < len(reference)
-    for key, cv in scored.items():
-        assert cv == pytest.approx(reference[key], rel=1e-11)
+    for engine in ENGINES:
+        with cv_engine(engine):
+            scored = _scored(enumerate_and_score(ds, config, progress=silent))
+        assert set(scored) == {k for k, cv in reference.items()
+                               if cv is not None}
+        assert len(scored) < len(reference)
+        for key, cv in scored.items():
+            assert cv == pytest.approx(reference[key], rel=1e-11)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -134,15 +158,17 @@ def test_unrank_colex_is_the_colex_bijection(n, data):
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10_000), m=st.integers(30, 60),
        missing=st.sampled_from([0.0, 0.05, 0.15]),
+       gaps=st.sampled_from(["iid", "block"]),
        folds=st.integers(2, 10), size=st.integers(1, 3),
-       with_intercept=st.booleans())
-def test_engine_matches_lstsq_oracle(seed, m, missing, folds, size,
-                                     with_intercept):
+       with_intercept=st.booleans(), engine=st.sampled_from(ENGINES))
+def test_engine_matches_lstsq_oracle(seed, m, missing, gaps, folds, size,
+                                     with_intercept, engine):
     ds = make_dataset(m=m, n=6, seed=seed, missing_fraction=missing,
-                      signal={0: 0.5, 2: 0.3, 5: 0.2})
+                      gaps=gaps, signal={0: 0.5, 2: 0.3, 5: 0.2})
     config = SearchConfig(subset_size=size, folds=folds, seed=seed,
                           with_intercept=with_intercept, top_k=100)
-    result = enumerate_and_score(ds, config, progress=silent)
+    with cv_engine(engine):
+        result = enumerate_and_score(ds, config, progress=silent)
     for cand in result.ranked:
         cols = [ds.environment_index(e) for e in cand.subset]
         usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
@@ -152,25 +178,101 @@ def test_engine_matches_lstsq_oracle(seed, m, missing, folds, size,
         assert cand.cv_mse == pytest.approx(expected, rel=1e-9)
 
 
-_INVARIANCE_DATA = make_dataset(m=40, n=9, seed=43, missing_fraction=0.12)
+_INVARIANCE_DATA = {
+    "iid": make_dataset(m=40, n=9, seed=43, missing_fraction=0.12),
+    "block": make_dataset(m=30, n=9, seed=43, missing_fraction=0.35,
+                          gaps="block"),
+}
 _INVARIANCE_CONFIG = SearchConfig(subset_size=3, folds=10, seed=3, top_k=40)
 
 
-@pytest.fixture(scope="module")
-def default_ranking():
-    result = enumerate_and_score(_INVARIANCE_DATA, _INVARIANCE_CONFIG,
-                                 progress=silent)
+def _ranking(gaps, engine, **kwargs):
+    with cv_engine(engine):
+        result = enumerate_and_score(_INVARIANCE_DATA[gaps],
+                                     _INVARIANCE_CONFIG, progress=silent,
+                                     **kwargs)
     return result.skip_stats, [(c.subset, c.cv_mse) for c in result.ranked]
 
 
-@settings(max_examples=12, deadline=None, database=None,
+@pytest.fixture(scope="module")
+def default_rankings():
+    return {(gaps, engine): _ranking(gaps, engine)
+            for gaps in _INVARIANCE_DATA for engine in ENGINES}
+
+
+@settings(max_examples=16, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(block=st.integers(1, 100), threads=st.sampled_from([1, 2]))
-def test_bit_identical_across_block_sizes_and_workers(default_ranking, block,
-                                                      threads):
+@given(block=st.integers(1, 100), threads=st.sampled_from([1, 2]),
+       gaps=st.sampled_from(sorted(_INVARIANCE_DATA)),
+       engine=st.sampled_from(ENGINES))
+def test_bit_identical_across_block_sizes_and_workers(default_rankings, block,
+                                                      threads, gaps, engine):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("BENCHSEL_BLOCK_SIZE", str(block))
-        result = enumerate_and_score(_INVARIANCE_DATA, _INVARIANCE_CONFIG,
-                                     threads=threads, progress=silent)
-    assert (result.skip_stats,
-            [(c.subset, c.cv_mse) for c in result.ranked]) == default_ranking
+        ranking = _ranking(gaps, engine, threads=threads)
+    assert ranking == default_rankings[gaps, engine]
+
+
+def test_invariance_data_builds_tables_and_skips_rows():
+    for ds in _INVARIANCE_DATA.values():
+        assert _build_context(ds, _INVARIANCE_CONFIG).tables is not None
+    skips = _ranking("block", "tables")[0]["skipped_insufficient_rows"]
+    assert skips > 0
+
+
+def _block_gap_dataset(duplicate=False):
+    ds = make_dataset(m=24, n=12, seed=45, missing_fraction=0.35,
+                      gaps="block", signal={1: 0.6, 4: 0.3, 7: 0.1})
+    if not duplicate:
+        return ds
+    # Column 9 becomes an exact copy of column 1, holes included, so the
+    # two share an availability class.
+    scores = ds.log_scores.copy()
+    scores[:, 9] = scores[:, 1]
+    return PreparedDataset(ds.algorithm_ids, ds.environment_ids, scores,
+                           ds.targets + 0.5, "median", FilterConfig(1, 1))
+
+
+def _both_engines(ds, config):
+    tables = _build_context(ds, config).tables
+    assert tables is not None
+    results = {}
+    for engine in ENGINES:
+        with cv_engine(engine):
+            results[engine] = enumerate_and_score(ds, config,
+                                                  progress=silent)
+    return tables, results["tables"], results["gather"]
+
+
+@pytest.mark.parametrize("with_intercept", [False, True],
+                         ids=["no-intercept", "intercept"])
+def test_tables_match_gather_engine(with_intercept):
+    config = SearchConfig(subset_size=4, folds=10, seed=5,
+                          with_intercept=with_intercept, top_k=1000)
+    _, tabled, gathered = _both_engines(_block_gap_dataset(), config)
+    assert tabled.skip_stats == gathered.skip_stats
+    assert tabled.skipped_insufficient_rows > 0
+    assert [c.subset for c in tabled.ranked] == \
+           [c.subset for c in gathered.ranked]
+    for a, b in zip(tabled.ranked, gathered.ranked):
+        assert a.cv_mse == pytest.approx(b.cv_mse, rel=1e-11)
+        assert a.n_algorithms_used == b.n_algorithms_used
+
+
+@pytest.mark.parametrize("with_intercept", [False, True],
+                         ids=["no-intercept", "intercept"])
+def test_tables_match_gather_engine_singular_verdicts(with_intercept):
+    # Twins that differ only in which copy they hold tie exactly in one
+    # engine but not necessarily in the other, so only verdicts and
+    # values are compared, not order.
+    config = SearchConfig(subset_size=3, folds=10, seed=5,
+                          with_intercept=with_intercept, top_k=1000)
+    tables, tabled, gathered = _both_engines(
+        _block_gap_dataset(duplicate=True), config)
+    assert tables.class_bit[1] == tables.class_bit[9] != 0
+    assert tabled.skip_stats == gathered.skip_stats
+    assert tabled.skipped_singular > 0
+    scored = _scored(gathered)
+    assert _scored(tabled).keys() == scored.keys()
+    for key, cv in _scored(tabled).items():
+        assert cv == pytest.approx(scored[key], rel=1e-11)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from benchsel.data import FilterConfig, PreparedDataset
 from benchsel.errors import EmptySearchError, ValidationError
 from benchsel.formats import bank_from_dict, bank_to_dict, suite_to_dict
 from benchsel.search import (
+    WORKING_SET_DOUBLES,
     SearchConfig,
+    _build_context,
     enumerate_and_score,
     nested_pipeline,
     per_game_models,
@@ -196,6 +200,60 @@ class TestEnumerateAndScore:
         assert calls == [100]  # C(10,3) = 120 crosses one stride of 100
 
 
+class TestMaskTables:
+    """Which searches build per-search fold tables, and what they hold."""
+
+    def test_block_gaps_build_tables(self):
+        ds = make_dataset(m=62, n=30, seed=50, missing_fraction=0.1,
+                          gaps="block")
+        tables = _build_context(ds, SearchConfig(subset_size=5)).tables
+        assert tables is not None
+        # Three gapped classes: every nonempty set of them is reachable,
+        # and so is the empty one (five games of the all-present class).
+        assert len(tables.keys) == 8
+        assert tables.held.size + tables.train.size <= WORKING_SET_DOUBLES
+
+    def test_iid_gaps_exceed_the_budget(self):
+        ds = make_dataset(m=62, n=30, seed=50, missing_fraction=0.1)
+        assert _build_context(ds, SearchConfig(subset_size=5)).tables is None
+
+    def test_every_column_forced(self):
+        ds = make_dataset(m=40, n=12, seed=51, missing_fraction=0.2,
+                          gaps="block", signal={1: 0.5, 4: 0.5})
+        forced = ("env02", "env05", "env09")
+        config = SearchConfig(subset_size=3, must_include=forced, folds=5,
+                              seed=2)
+        tables = _build_context(ds, config).tables
+        assert tables is not None and len(tables.keys) == 1
+        result = enumerate_and_score(ds, config, progress=silent)
+        assert result.total_candidates == result.scored == 1
+        cols = [1, 4, 8]
+        usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
+        assert result.best.n_algorithms_used == len(usable) == \
+               tables.n_usable[0]
+        expected = lstsq_cv_mse(ds.log_scores[np.ix_(usable, cols)],
+                                ds.targets[usable], 5, 2)
+        assert result.best.cv_mse == pytest.approx(expected, rel=1e-9)
+
+    def test_intercept_tables_hold_the_ones_column(self):
+        ds = make_dataset(m=40, n=10, seed=52, missing_fraction=0.2,
+                          gaps="block", signal={0: 0.4, 3: 0.6})
+        config = SearchConfig(subset_size=2, folds=10, seed=4,
+                              with_intercept=True, top_k=50)
+        tables = _build_context(ds, config).tables
+        # Ten games, the ones column and the target.
+        assert tables.train.shape[1] == 12
+        assert tables.table_col[10] == 10 and tables.class_bit[10] == 0
+        result = enumerate_and_score(ds, config, progress=silent)
+        for cand in result.ranked:
+            cols = [ds.environment_index(e) for e in cand.subset]
+            usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
+            expected = lstsq_cv_mse(ds.log_scores[np.ix_(usable, cols)],
+                                    ds.targets[usable], 10, 4,
+                                    with_intercept=True)
+            assert cand.cv_mse == pytest.approx(expected, rel=1e-9)
+
+
 @pytest.fixture(scope="module")
 def suite_and_dataset():
     ds = make_dataset(m=50, n=18, seed=13,
@@ -269,6 +327,49 @@ class TestNestedPipeline:
         assert doc["dataset_hash"]
         for entry in doc["models"].values():
             assert len(entry["model"]["coefficients"]) == len(entry["subset"])
+
+
+@settings(max_examples=10, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), gaps=st.sampled_from(["iid", "block"]),
+       n=st.integers(15, 17))
+def test_nesting_invariants(seed, gaps, n):
+    ds = make_dataset(m=60, n=n, seed=seed, gaps=gaps,
+                      missing_fraction=0.05 if gaps == "iid" else 0.1,
+                      signal={0: 0.5, 3: 0.3, 7: 0.2}, noise=0.05)
+    suite = nested_pipeline(ds, folds=5, seed=seed % 7, progress=silent)
+    subset = {name: set(suite.subset(name)) for name in suite.models}
+    assert subset["size-1"] <= subset["size-3"] <= subset["size-5"] \
+        <= subset["size-10"]
+    assert subset["val-3"] <= subset["val-5"]
+    assert not subset["val-5"] & subset["size-5"]
+    assert not subset["val-5"] & (subset["size-10"] - subset["size-5"])
+    assert [len(subset[name]) for name in ("size-1", "size-3", "size-5",
+                                           "size-10", "val-3", "val-5")] \
+        == [1, 3, 5, 10, 3, 5]
+
+    # Each named model is the best of its own stage's search.
+    names = ds.environment_ids
+
+    def outside(*names_in):
+        keep = set().union(*names_in)
+        return tuple(e for e in names if e not in keep)
+
+    stages = {
+        "size-5": (5, (), ()),
+        "size-3": (3, (), outside(subset["size-5"])),
+        "size-1": (1, (), outside(subset["size-3"])),
+        "val-3": (3, (), tuple(subset["size-5"])),
+        "val-5": (5, suite.subset("val-3"), tuple(subset["size-5"])),
+        "size-10": (10, suite.subset("size-5"), tuple(subset["val-5"])),
+    }
+    for name, (size, must, exclude) in stages.items():
+        config = SearchConfig(subset_size=size, must_include=must,
+                              exclude=exclude, folds=5, seed=seed % 7,
+                              top_k=1)
+        best = enumerate_and_score(ds, config, progress=silent).best
+        assert set(best.subset) == subset[name], name
+        assert best.cv_mse == suite.models[name].cv_mse, name
 
 
 class TestPerGameModels:

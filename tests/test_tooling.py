@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from benchsel import fixtures
@@ -47,16 +48,54 @@ def test_traced_run_records_layer_spans(tmp_path):
             "predict.predict_summary"} <= names
 
 
+def _demo_with_scattered_gaps(path: Path) -> None:
+    """The demo table with one score in ten blanked at random, so nearly
+    every game has its own availability and a search's fold tables would
+    not fit its working-set budget."""
+    rng = np.random.default_rng(7)
+    lines = Path(DEMO).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    games = [i for i, name in enumerate(header)
+             if name not in ("algorithm", "median57", "provenance")]
+    rows = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        for i in games:
+            if rng.random() < 0.1:
+                cells[i] = ""
+        rows.append(",".join(cells))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 def test_traced_search_solves_once_per_block(tmp_path):
-    spans_path = tmp_path / "spans.json"
-    # 23 folds need 23 usable algorithms, which some candidates lack, so
-    # the count below also shows that skipped candidates are not solved.
-    proc = _run([ROOT / "bench" / "traced.py", spans_path, "search",
-                 "--size", "3", "--folds", "23", "--threads", "1",
-                 "--min-games", "10", "--min-algos", "10",
-                 "--ignore-columns", "median57",
-                 "--scores", DEMO, "--out", tmp_path / "out", "--quiet"],
-                cwd=tmp_path, BENCHSEL_BLOCK_SIZE="64")
+    # The demo table's searches score from fold tables; the gapped copy's
+    # do not. 23 folds need 23 usable algorithms, which some candidates of
+    # the demo table lack, and 20 folds some of the gapped table's.
+    gapped = tmp_path / "gapped.csv"
+    _demo_with_scattered_gaps(gapped)
+    for scores, folds, tabled in ((DEMO, 23, True), (gapped, 20, False)):
+        _check_traced_search(tmp_path / f"folds{folds}", scores, folds,
+                             tabled)
+
+
+def _check_traced_search(work, scores, folds, tabled):
+    from benchsel.cli import _load_dataset, build_parser
+    from benchsel.search import SearchConfig, _build_context
+
+    argv = ["search", "--size", "3", "--folds", str(folds), "--threads", "1",
+            "--min-games", "10", "--min-algos", "10",
+            "--ignore-columns", "median57",
+            "--scores", str(scores), "--out", str(work / "out"),
+            "--quiet"]
+    dataset = _load_dataset(build_parser().parse_args(argv))
+    context = _build_context(dataset, SearchConfig(subset_size=3,
+                                                   folds=folds))
+    assert (context.tables is not None) == tabled
+
+    work.mkdir()
+    spans_path = work / "spans.json"
+    proc = _run([ROOT / "bench" / "traced.py", spans_path, *argv],
+                cwd=work, BENCHSEL_BLOCK_SIZE="64")
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(spans_path.read_text())
     blocks = [i for i, s in enumerate(spans)
@@ -67,10 +106,10 @@ def test_traced_search_solves_once_per_block(tmp_path):
     assert sorted(s["parent"] for s in solves) == blocks
 
     # Every candidate with enough usable rows is solved once per fold,
-    # singular ones included.
+    # singular ones included; skipped candidates are not solved.
     preamble = dict(
         field.split("=") for line in
-        (tmp_path / "out" / "ranked.csv").read_text().splitlines()
+        (work / "out" / "ranked.csv").read_text().splitlines()
         if line.startswith(("# config:", "# candidates:"))
         for field in line.split()[2:])
     assert int(preamble["skipped_rows"]) > 0
