@@ -9,6 +9,7 @@ scores for new algorithms.
 """
 
 from .data import (
+    EnvironmentIndex,
     FilterConfig,
     NormalizationTable,
     PreparedDataset,
@@ -27,6 +28,7 @@ from .data import (
 from .errors import (
     BenchselError,
     DegenerateDataError,
+    DuplicateEnvironmentError,
     EmptySearchError,
     EnvironmentLookupError,
     SchemaError,

@@ -6,12 +6,13 @@ subset-score predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PreparedDataset, canonical_key, read_csv_rows
-from .errors import DegenerateDataError, ValidationError
+from .data import EnvironmentIndex, PreparedDataset, read_csv_rows
+from .errors import DegenerateDataError, DuplicateEnvironmentError, \
+    SchemaError, ValidationError
 from .linreg import fit_ols
 
 MIN_PAIR_COUNT = 3
@@ -46,9 +47,10 @@ class CorrelationGraph:
     environments: tuple[str, ...]
     pcc: np.ndarray
     n_pairs: np.ndarray
-    categories: dict[str, str] | None = None
+    index: EnvironmentIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "index", EnvironmentIndex(self.environments))
         n = len(self.environments)
         if self.pcc.shape != (n, n) or self.n_pairs.shape != (n, n):
             raise ValidationError("correlation matrices must be n x n")
@@ -59,9 +61,8 @@ class CorrelationGraph:
             raise ValidationError("PCC matrix must be symmetric")
 
     def lookup(self, env_a: str, env_b: str) -> float:
-        index = {canonical_key(e): i for i, e in enumerate(self.environments)}
-        return float(self.pcc[index[canonical_key(env_a)],
-                              index[canonical_key(env_b)]])
+        return float(self.pcc[self.index.position(env_a),
+                              self.index.position(env_b)])
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,7 @@ def rank_single_games(dataset: PreparedDataset) -> SingleGameRanking:
     return SingleGameRanking(ranked=tuple(fits), flagged=flagged)
 
 
-def pearson_matrix(dataset: PreparedDataset,
-                   categories: dict[str, str] | None = None
-                   ) -> CorrelationGraph:
+def pearson_matrix(dataset: PreparedDataset) -> CorrelationGraph:
     """Pairwise-complete Pearson correlations between environments.
 
     The diagonal is 1 wherever an environment has at least two scores.
@@ -167,7 +166,7 @@ def pearson_matrix(dataset: PreparedDataset,
             r = float((dx * dy).sum()) / denom
             pcc[a, b] = pcc[b, a] = min(1.0, max(-1.0, r))
     return CorrelationGraph(environments=dataset.environment_ids, pcc=pcc,
-                            n_pairs=counts, categories=categories)
+                            n_pairs=counts)
 
 
 def correlated_pairs(graph: CorrelationGraph, threshold: float = 0.9,
@@ -223,8 +222,11 @@ def fairness_report(reports, alpha: float = 0.05) -> FairnessReport:
     Algorithms sort ascending by true summary and split into three groups
     (any remainder goes to the lower tertiles). For each pair of groups a
     Welch two-sided t-test runs on the absolute relative errors (accuracy)
-    and on the signed relative errors (bias).
+    and on the signed relative errors (bias), significant below ``alpha``,
+    which must lie strictly between 0 and 1.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     usable = [r for r in reports
               if r.true_summary is not None and r.relative_error is not None]
     if len(usable) < 6:
@@ -284,10 +286,11 @@ def export_dot(pairs, categories: dict[str, str] | None = None) -> str:
     PCC to two decimals and are bold iff the pair is highly correlated.
     """
     categories = categories or {}
-    cat_by_key = {canonical_key(k): v for k, v in categories.items()}
+    index, labels = EnvironmentIndex(categories), list(categories.values())
     nodes = sorted({e for p in pairs for e in (p.env_a, p.env_b)})
-    used_categories = sorted({cat_by_key[canonical_key(n)] for n in nodes
-                              if canonical_key(n) in cat_by_key})
+    category_of = {n: labels[j] for n in nodes
+                   if (j := index.get(n)) is not None}
+    used_categories = sorted(set(category_of.values()))
     fill = {c: _PALETTE[i % len(_PALETTE)]
             for i, c in enumerate(used_categories)}
     lines = ["graph score_correlations {",
@@ -295,7 +298,7 @@ def export_dot(pairs, categories: dict[str, str] | None = None) -> str:
              "  overlap=false;",
              f'  node [style=filled, fillcolor="{_DEFAULT_FILL}"];']
     for node in nodes:
-        category = cat_by_key.get(canonical_key(node))
+        category = category_of.get(node)
         attrs = [f'fillcolor="{fill[category]}"'] if category in fill else []
         if category:
             attrs.append(f'tooltip="{category}"')
@@ -312,8 +315,16 @@ def export_dot(pairs, categories: dict[str, str] | None = None) -> str:
 
 
 def load_categories(path) -> dict[str, str]:
-    """Read the category sidecar CSV: header ``environment,category``."""
-    out: dict[str, str] = {}
-    for _, row in read_csv_rows(path, ("environment", "category")):
-        out[row[0].strip()] = row[1].strip()
-    return out
+    """Read the category sidecar CSV: header ``environment,category``; an
+    empty or repeated environment name is a SchemaError naming its line."""
+    rows = read_csv_rows(path, ("environment", "category"))
+    names = [row[0].strip() for _, row in rows]
+    if "" in names:
+        raise SchemaError(f"{path}: row {rows[names.index('')][0]} has an "
+                          "empty environment name")
+    try:
+        EnvironmentIndex(names)
+    except DuplicateEnvironmentError as exc:
+        raise SchemaError(f"{path}: row {rows[exc.position][0]}: {exc}"
+                          ) from None
+    return {name: row[1].strip() for name, (_, row) in zip(names, rows)}

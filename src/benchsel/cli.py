@@ -15,8 +15,6 @@ import sys
 import time
 import traceback
 
-import numpy as np
-
 from . import __version__, fixtures
 from .analysis import (
     correlated_pairs,
@@ -27,7 +25,6 @@ from .analysis import (
     rank_single_games,
 )
 from .data import (
-    canonical_key,
     filter_dataset,
     load_norms,
     load_scores_with_values,
@@ -293,29 +290,6 @@ def _load_model(name_or_path: str):
     return model, doc, path
 
 
-def _predict_rows(model, table, norms):
-    """Predict every row of a raw score table.
-
-    Returns ``[(algorithm, predicted, model inputs used)]`` for the rows
-    that could be predicted and ``{algorithm: error message}`` for the rest.
-    """
-    model_keys = {canonical_key(e) for e in model.environment_ids}
-    used = {e for e in table.environment_ids if canonical_key(e) in model_keys}
-    predicted, errors = [], {}
-    for algorithm, scores in zip(table.algorithm_ids, table.scores):
-        raw_row = {env: float(x)
-                   for env, x in zip(table.environment_ids, scores)
-                   if not np.isnan(x)}
-        try:
-            value = predict_summary(model, raw_row, norms)
-        except BenchselError as exc:
-            errors[algorithm] = str(exc)
-            continue
-        predicted.append((algorithm, value, {
-            env: x for env, x in raw_row.items() if env in used}))
-    return predicted, errors
-
-
 def _report_row(r):
     return (r.algorithm_id, r.predicted_summary, r.true_summary,
             r.relative_error, r.abs_relative_error)
@@ -338,11 +312,17 @@ def cmd_predict(args) -> dict:
     value_columns = (args.true_summary,) if args.true_summary else ()
     table, values = load_scores_with_values(args.scores, value_columns)
     truths = values.get(args.true_summary, {}) if args.true_summary else {}
-    predicted, row_errors = _predict_rows(model, table, norms)
-    reports = [make_report(algorithm, value,
-                           true_summary=truths.get(algorithm),
-                           inputs_used=inputs)
-               for algorithm, value, inputs in predicted]
+    used = sorted({j for j in map(table.index.get, model.environment_ids)
+                   if j is not None})
+    reports, row_errors = [], {}
+    for algorithm, scores, value in zip(table.algorithm_ids, table.scores,
+                                        predict_summary(model, table, norms)):
+        if isinstance(value, BenchselError):
+            row_errors[algorithm] = str(value)
+            continue
+        inputs = {table.environment_ids[j]: float(scores[j]) for j in used}
+        reports.append(make_report(algorithm, value, inputs_used=inputs,
+                                   true_summary=truths.get(algorithm)))
     preamble = [f"inputs: {checksum_chain(checksums)}", MANIFEST_LINE]
     write_csv(os.path.join(args.out, "predictions.csv"), preamble,
               REPORT_HEADER, map(_report_row, reports))
@@ -417,7 +397,7 @@ def cmd_analyze_correlate(args) -> dict:
     dataset = _load_dataset(args)
     categories = load_categories(args.categories) if args.categories else None
     checksums = _checksums(args)
-    graph = pearson_matrix(dataset, categories)
+    graph = pearson_matrix(dataset)
     pairs = correlated_pairs(graph, threshold=args.threshold, top_n=args.top)
     path = os.path.join(args.out, "pairs.csv")
     write_csv(path, [f"inputs: {checksum_chain(checksums)}",
@@ -455,10 +435,11 @@ def cmd_analyze_fairness(args) -> dict:
         statistic = summary_statistic(normalize(filtered, norms), args.target)
         truths = dict(zip(filtered.algorithm_ids, statistic.tolist()))
 
-    predicted, _ = _predict_rows(model, table, norms)
+    predicted = zip(table.algorithm_ids, predict_summary(model, table, norms))
     reports = [make_report(algorithm, value, true_summary=truths[algorithm])
-               for algorithm, value, _ in predicted
-               if truths.get(algorithm) is not None]
+               for algorithm, value in predicted
+               if truths.get(algorithm) is not None
+               and not isinstance(value, BenchselError)]
     report = fairness_report(reports, alpha=args.alpha)
     doc = fairness_to_dict(report, checksums)
     write_json(os.path.join(args.out, "fairness.json"), doc)
@@ -601,6 +582,9 @@ def main(argv=None) -> int:
     except (BenchselError, OSError) as exc:
         print(f"benchsel: error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("benchsel: error: interrupted", file=sys.stderr)
+        return 130
     except Exception:
         traceback.print_exc()
         return 1

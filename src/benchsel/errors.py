@@ -13,6 +13,15 @@ class ValidationError(BenchselError):
     """Inputs are structurally valid but violate an invariant."""
 
 
+class DuplicateEnvironmentError(ValidationError):
+    """Two names of one game; ``position`` is the second one's."""
+
+    def __init__(self, name: str, first: str, position: int):
+        self.position = position
+        super().__init__(f"duplicate environment: {name!r} collides with "
+                         f"{first!r}")
+
+
 class EnvironmentLookupError(BenchselError):
     """A required environment is missing from a table or input vector."""
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import canonical_key
+from .data import EnvironmentIndex
 from .errors import EnvironmentLookupError, SingularMatrixError, ValidationError
 
 MAX_COLUMNS = 16
@@ -493,18 +493,15 @@ def predict_linear(model: LinearModel, x) -> float:
     aligned with ``model.environment_ids``.
     """
     if isinstance(x, Mapping):
-        by_key = {canonical_key(str(k)): float(v) for k, v in x.items()}
-        values = []
-        for env in model.environment_ids:
-            key = canonical_key(env)
-            if key not in by_key:
-                raise EnvironmentLookupError(
-                    env, f"missing log score for environment {env!r}")
-            values.append(by_key[key])
-        vec = np.array(values)
-    else:
-        vec = np.asarray(x, dtype=np.float64)
-        if vec.shape != (model.n_environments,):
-            raise ValidationError(
-                f"expected {model.n_environments} log scores, got {vec.shape}")
+        x = EnvironmentIndex(map(str, x)).take(
+            [list(x.values())], model.environment_ids)[0]
+        gap = np.flatnonzero(np.isnan(x))
+        if len(gap):
+            env = model.environment_ids[gap[0]]
+            raise EnvironmentLookupError(
+                env, f"missing log score for environment {env!r}")
+    vec = np.asarray(x, dtype=np.float64)
+    if vec.shape != (model.n_environments,):
+        raise ValidationError(
+            f"expected {model.n_environments} log scores, got {vec.shape}")
     return float((model.intercept or 0.0) + model.coefficients @ vec)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormalizationTable, canonical_key, inverse_log_transform, \
+from .data import NormalizationTable, RawScoreTable, inverse_log_transform, \
     log_transform
 from .errors import EnvironmentLookupError, UndefinedRelativeError, \
     ValidationError
@@ -43,24 +43,36 @@ class PredictionReport:
         return abs(self.relative_error)
 
 
-def predict_summary(model: LinearModel, raw_scores, norms: NormalizationTable
-                    ) -> float:
-    """Predict a summary score from raw per-environment scores.
+def predict_summary(model: LinearModel, raw_scores, norms: NormalizationTable):
+    """Predict summary scores from raw per-environment scores.
 
-    ``raw_scores`` maps environment name -> raw score and must cover the
-    model's environments (names matched case/punctuation-insensitively).
-    The result is >= -1 always; for a no-intercept model with non-negative
+    A RawScoreTable gives a list with, per row, the prediction or the
+    EnvironmentLookupError naming the first model game the row lacks; a
+    mapping from environment name to raw score is a one-row table whose
+    prediction is returned or error raised. Names are matched once per
+    table. A prediction is >= -1; for a no-intercept model with non-negative
     coefficients it is >= 0, and all-random inputs give exactly 0.
     """
-    by_key = {canonical_key(str(k)): float(v) for k, v in raw_scores.items()}
-    log_scores = np.empty(model.n_environments)
-    for j, env in enumerate(model.environment_ids):
-        key = canonical_key(env)
-        if key not in by_key:
-            raise EnvironmentLookupError(
-                env, f"missing raw score for environment {env!r}")
-        log_scores[j] = log_transform(norms.lookup(env).normalize(by_key[key]))
-    return float(inverse_log_transform(predict_linear(model, log_scores)))
+    if not isinstance(raw_scores, RawScoreTable):
+        value, = predict_summary(model, RawScoreTable(
+            ("",), tuple(map(str, raw_scores)), [list(raw_scores.values())]),
+            norms)
+        if isinstance(value, EnvironmentLookupError):
+            raise value
+        return value
+    games = model.environment_ids
+    x = raw_scores.index.take(raw_scores.scores, games)
+    fault = np.full(x.shape, None, dtype=object)  # per cell, its error
+    for j, game in enumerate(games):
+        try:
+            x[:, j] = norms.lookup(game).normalize(x[:, j])
+        except EnvironmentLookupError as exc:
+            fault[:, j] = exc
+        fault[np.isnan(x[:, j]), j] = EnvironmentLookupError(
+            game, f"missing raw score for environment {game!r}")
+    return [next((e for e in faults if e is not None), None)
+            or float(inverse_log_transform(predict_linear(model, logs)))
+            for faults, logs in zip(fault, log_transform(x))]
 
 
 def relative_error(true_value: float, predicted: float) -> float:

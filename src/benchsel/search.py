@@ -41,12 +41,13 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import PreparedDataset, canonical_key
+from .data import EnvironmentIndex, PreparedDataset
 from .errors import (
     EmptySearchError,
     SingularMatrixError,
@@ -92,10 +93,8 @@ class SearchConfig:
             raise ValidationError("folds must be >= 2")
         if self.top_k < 1:
             raise ValidationError("top_k must be >= 1")
-        must = {canonical_key(e) for e in self.must_include}
-        if len(must) != len(self.must_include):
-            raise ValidationError("duplicate environment in must_include")
-        if must & {canonical_key(e) for e in self.exclude}:
+        must = EnvironmentIndex(self.must_include)
+        if any(e in must for e in self.exclude):
             raise ValidationError("must_include and exclude overlap")
         if len(self.must_include) > self.subset_size:
             raise ValidationError("must_include larger than subset_size")
@@ -152,9 +151,8 @@ class ModelBank:
     n_used: dict[str, int]
 
     def covers(self, environment_ids) -> bool:
-        have = {canonical_key(e) for e in self.models}
-        have |= {canonical_key(e) for e in self.skipped}
-        return all(canonical_key(e) in have for e in environment_ids)
+        have = EnvironmentIndex([*self.models, *self.skipped])
+        return all(e in have for e in environment_ids)
 
 
 @dataclass
@@ -358,6 +356,8 @@ _WORKER_CTX: _SearchContext | None = None
 
 
 def _worker_init(ctx: _SearchContext) -> None:
+    # Ctrl-C reaches the whole process group; the parent alone reports it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _WORKER_CTX
     _WORKER_CTX = ctx
 
@@ -399,9 +399,9 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
     avail = np.ones((m, n + 1), dtype=bool)
     avail[:, :n] = dataset.present
 
-    must_cols = np.array(sorted(map(dataset.environment_index,
+    must_cols = np.array(sorted(map(dataset.index.position,
                                     config.must_include)), dtype=np.int64)
-    excluded = set(map(dataset.environment_index, config.exclude))
+    excluded = set(map(dataset.index.position, config.exclude))
     pool = np.array([j for j in range(n)
                      if j not in excluded and j not in set(must_cols)],
                     dtype=np.int64)
@@ -597,7 +597,6 @@ def nested_pipeline(dataset: PreparedDataset, folds: int = 10, seed: int = 0, *,
             f"nested pipeline needs at least {PIPELINE_MIN_ENVIRONMENTS} "
             f"environments, dataset has {n}")
 
-    all_names = dataset.environment_ids
     models: dict[str, RankedCandidate] = {}
     skip_stats: dict[str, dict[str, int]] = {}
 
@@ -614,9 +613,8 @@ def nested_pipeline(dataset: PreparedDataset, folds: int = 10, seed: int = 0, *,
         models[stage] = result.best
         return result.best
 
-    def others(subset) -> tuple[str, ...]:
-        keys = {canonical_key(e) for e in subset}
-        return tuple(e for e in all_names if canonical_key(e) not in keys)
+    def others(subset) -> tuple[str, ...]:  # subsets use the dataset's names
+        return tuple(e for e in dataset.environment_ids if e not in subset)
 
     size5 = run("size-5", 5)
     size3 = run("size-3", 3, exclude=others(size5.subset))
@@ -635,7 +633,7 @@ def nested_pipeline(dataset: PreparedDataset, folds: int = 10, seed: int = 0, *,
 
 def _check_nesting(suite: SubsetSuite) -> None:
     def keyset(name: str) -> set[str]:
-        return {canonical_key(e) for e in suite.subset(name)}
+        return set(suite.subset(name))  # the dataset's own spellings
 
     chain = ["size-1", "size-3", "size-5", "size-10"]
     for small, large in zip(chain, chain[1:]):
@@ -661,7 +659,7 @@ def per_game_models(dataset: PreparedDataset, subset,
     with fewer than ``len(subset) + min_extra`` usable algorithms is
     flagged unusable instead of aborting the bank.
     """
-    subset_cols = [dataset.environment_index(e) for e in subset]
+    subset_cols = [dataset.index.position(e) for e in subset]
     subset_names = tuple(dataset.environment_ids[j] for j in subset_cols)
     X = dataset.log_scores
     present = dataset.present
@@ -713,8 +711,8 @@ def variance_explained(bank: ModelBank, dataset: PreparedDataset) -> float:
     ss_res = 0.0
     ss_tot = 0.0
     for env, model in bank.models.items():
-        g = dataset.environment_index(env)
-        cols = [dataset.environment_index(e) for e in model.environment_ids]
+        g = dataset.index.position(env)
+        cols = [dataset.index.position(e) for e in model.environment_ids]
         rows = np.flatnonzero(present[:, cols].all(axis=1) & present[:, g])
         if len(rows) < 2:
             continue

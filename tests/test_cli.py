@@ -1,9 +1,17 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchsel import fixtures
 from benchsel.cli import main
+from benchsel.data import load_norms
 from benchsel.formats import save_model, sha256_file
 from benchsel.linreg import LinearModel
 
@@ -51,6 +59,65 @@ def test_undecodable_input_exits_one_with_one_line(toy_inputs, capsys, which):
     assert len(err) == 1
     assert err[0].startswith("benchsel: error: ")
     assert path.name in err[0]
+
+
+def _children(pid: int) -> list[str]:
+    try:
+        return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    except OSError:
+        return []
+
+
+def _ignores_sigint(pid: str) -> bool:
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    mask = next(line.split()[1] for line in status.splitlines()
+                if line.startswith("SigIgn:"))
+    return bool(int(mask, 16) >> (signal.SIGINT - 1) & 1)
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc child lists")
+def test_ctrl_c_exits_130_with_one_line_and_no_workers(tmp_path):
+    # 62 algorithms on the 57 shipped games: C(57, 5) candidates keep two
+    # workers busy for several seconds.
+    rng = np.random.default_rng(3)
+    games = load_norms(fixtures.normalization_path()).entries
+    scores = tmp_path / "scores.csv"
+    scores.write_text("algorithm," + ",".join(g.name for g in games) + "\n"
+                      + "".join(f"a{i}," + ",".join(
+                          str(g.random + rng.uniform(0, 2) * (g.human - g.random))
+                          for g in games) + "\n" for i in range(62)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "benchsel.cli", "search", "--size", "5",
+         "--threads", "2", "--scores", str(scores),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (len(workers := _children(proc.pid)) == 2
+                   and all(map(_ignores_sigint, workers))):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C does
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err.splitlines() == ["benchsel: error: interrupted"]
+    deadline = time.monotonic() + 10
+    with pytest.raises(ProcessLookupError):
+        while time.monotonic() < deadline:  # no process left in the group
+            os.killpg(proc.pid, 0)
+            time.sleep(0.05)
 
 
 class TestSearchCommand:
@@ -364,3 +431,18 @@ class TestAnalyzeCommands:
         doc = json.loads((out / "fairness.json").read_text())
         assert set(doc["groups"]) == {"low", "mid", "high"}
         assert "low-vs-high" in doc["pairwise"]
+
+    @pytest.mark.parametrize("alpha", ["7", "nan", "-1", "0", "1"])
+    def test_fairness_bad_alpha_exits_one_with_one_line(self, toy_inputs,
+                                                        capsys, alpha):
+        scores, norms, tmp = toy_inputs
+        model_path = tmp / "m.json"
+        save_model(model_path, LinearModel(("g1", "g2"), np.array([0.5, 0.5])),
+                   norms_checksum=sha256_file(norms))
+        rc = run(["analyze", "fairness", "--scores", scores,
+                  "--norms", norms, "--model", model_path,
+                  "--true-summary", "truecol", "--min-games", "2",
+                  f"--alpha={alpha}", "--out", tmp / "fair", "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "alpha" in err[0]

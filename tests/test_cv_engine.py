@@ -170,7 +170,7 @@ def test_engine_matches_lstsq_oracle(seed, m, missing, gaps, folds, size,
     with cv_engine(engine):
         result = enumerate_and_score(ds, config, progress=silent)
     for cand in result.ranked:
-        cols = [ds.environment_index(e) for e in cand.subset]
+        cols = [ds.index.position(e) for e in cand.subset]
         usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
         expected = lstsq_cv_mse(ds.log_scores[np.ix_(usable, cols)],
                                 ds.targets[usable], folds, seed,

@@ -17,6 +17,7 @@ from benchsel.data import (
     log_transform,
     normalize,
     prepare_dataset,
+    summary_statistic,
 )
 from benchsel.errors import (
     BenchselError,
@@ -136,6 +137,18 @@ class TestMalformedCsv:
         path.write_bytes(raw)
         with pytest.raises(SchemaError, match="bad.csv"):
             loader(path)
+
+    @pytest.mark.parametrize("body, line", [
+        ("Pong,sport\n,maze\n", 3),
+        ("Q*Bert,maze\nPong,sport\nqbert,maze\n", 4),
+        ("Pong,sport\n\nPong,sport\n", 4),
+    ], ids=["empty-name", "two-spellings", "repeated"])
+    def test_bad_category_names_name_file_and_line(self, tmp_path, body,
+                                                   line):
+        path = tmp_path / "cats.csv"
+        path.write_text("environment,category\n" + body)
+        with pytest.raises(SchemaError, match=rf"cats.csv: row {line}\b"):
+            load_categories(path)
 
     @settings(max_examples=300, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -312,6 +325,20 @@ class TestComputeTarget:
         z = np.array([[0.0, 100.0]])
         assert compute_target(z, "mean")[0] == pytest.approx(
             np.log10(51.0), rel=1e-12)
+
+
+def test_median_matches_nanmedian_exactly():
+    # Small integer grids make ties common; row lengths and holes give odd
+    # and even present counts alike.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m, n = rng.integers(1, 6), rng.integers(1, 12)
+        z = rng.integers(-3, 4, size=(m, n)) * rng.choice([1.0, 0.1, 37.5])
+        z = z + rng.normal(size=(m, n)) * rng.integers(0, 2)
+        z[rng.random((m, n)) < 0.4] = np.nan
+        z[np.arange(m), rng.integers(0, n, size=m)] = rng.normal(size=m)
+        assert np.array_equal(summary_statistic(z, "median"),
+                              np.nanmedian(z, axis=1))
 
 
 class TestPrepareDataset:

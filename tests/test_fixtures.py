@@ -139,6 +139,6 @@ class TestSidecarFixtures:
                                                 ("median57",))
         assert table.n_algorithms == 24
         assert table.n_environments == 15
-        assert all(env in norms for env in table.environment_ids)
+        assert all(env in norms.index for env in table.environment_ids)
         assert all(v is not None for v in values["median57"].values())
         assert table.provenance is not None

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from benchsel.data import NormalizationTable
+from benchsel.data import (
+    NormalizationTable,
+    RawScoreTable,
+    canonical_key,
+    inverse_log_transform,
+    log_transform,
+)
 from benchsel.errors import (
     EnvironmentLookupError,
     UndefinedRelativeError,
@@ -76,6 +82,59 @@ class TestPredictSummary:
         model = LinearModel(("Battle Zone",), np.array([1.0]))
         value = predict_summary(model, {"BATTLE-ZONE": 37187.5}, self._norms())
         assert value == pytest.approx(100.0, rel=1e-12)
+
+
+def _per_cell_reference(model, table, norms):
+    """Each row keyed by name and each model game normalized and
+    log-transformed on its own: the arithmetic, error messages and first
+    named game the table path must reproduce exactly."""
+    out = []
+    for row in table.scores:
+        present = {canonical_key(e): float(x)
+                   for e, x in zip(table.environment_ids, row)
+                   if not np.isnan(x)}
+        logs = np.empty(model.n_environments)
+        try:
+            for j, env in enumerate(model.environment_ids):
+                if canonical_key(env) not in present:
+                    raise EnvironmentLookupError(
+                        env, f"missing raw score for environment {env!r}")
+                logs[j] = log_transform(
+                    norms.lookup(env).normalize(present[canonical_key(env)]))
+        except EnvironmentLookupError as exc:
+            out.append(str(exc))
+            continue
+        out.append(float(inverse_log_transform(
+            (model.intercept or 0.0) + model.coefficients @ logs)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_table_predictions_match_per_cell_reference(seed):
+    # Every fourth table lacks a normalization entry and every fourth model
+    # has a game no table holds, so all three row outcomes occur.
+    rng = np.random.default_rng(seed)
+    norm_names = ["Battle Zone", "Qbert", "Ms Pacman", "Pong", "Alien",
+                  "Zaxxon", "Up n Down", "Name This Game", "Phoenix"]
+    norms = NormalizationTable.from_pairs(
+        (name, r, r + rng.uniform(1.0, 5000.0))
+        for name, r in zip(norm_names, rng.uniform(-50.0, 500.0, 9))
+        if seed % 4 or name != "Pong")
+    spellings = ["battle-zone", "Q*Bert", "Ms. Pac-Man", "PONG", "Alien",
+                 "ZAXXON", "Up 'n Down", "name this game", "Phoenix"]
+    games = list(rng.choice(spellings, size=rng.integers(1, 10),
+                            replace=False))
+    if seed % 4 == 1:
+        games.insert(rng.integers(0, len(games) + 1), "Unknown Game")
+    model = LinearModel(tuple(games), rng.normal(size=len(games)),
+                        intercept=float(rng.normal()) if seed % 2 else None)
+    columns = tuple(rng.permutation(spellings))
+    scores = rng.uniform(-100.0, 50000.0, size=(60, len(columns)))
+    scores[rng.random(scores.shape) < 0.03] = np.nan
+    table = RawScoreTable(tuple(f"a{i}" for i in range(60)), columns, scores)
+    got = [str(r) if isinstance(r, Exception) else r
+           for r in predict_summary(model, table, norms)]
+    assert got == _per_cell_reference(model, table, norms)
 
 
 class TestRelativeError:

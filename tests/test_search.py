@@ -246,7 +246,7 @@ class TestMaskTables:
         assert tables.table_col[10] == 10 and tables.class_bit[10] == 0
         result = enumerate_and_score(ds, config, progress=silent)
         for cand in result.ranked:
-            cols = [ds.environment_index(e) for e in cand.subset]
+            cols = [ds.index.position(e) for e in cand.subset]
             usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
             expected = lstsq_cv_mse(ds.log_scores[np.ix_(usable, cols)],
                                     ds.targets[usable], 10, 4,

@@ -1,5 +1,6 @@
 """The benchmark's tracer and the demo scripts keep working, the CLI
-starts without loading scipy, and CV blocks reuse freed memory.
+starts without loading scipy or numpy.ma, name matching stays in the data
+module, and CV blocks reuse freed memory.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
@@ -124,6 +125,32 @@ def test_cli_import_loads_no_scipy(tmp_path):
                  "sys.modules if m.split('.')[0] == 'scipy'))"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+PREPARE_DEMO = """
+import sys
+from benchsel import fixtures
+from benchsel.data import load_norms, load_scores_with_values, prepare_dataset
+table, _ = load_scores_with_values(fixtures.demo_scores_path(), ("median57",))
+prepare_dataset(table, load_norms(fixtures.normalization_path()),
+                min_games=10, min_algorithms=10)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_loading_and_preparing_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma, which np.nanmedian imports, costs about 20 ms of set-up.
+    proc = _run(["-c", PREPARE_DEMO], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_canonical_key_only_in_data_module():
+    # Name matching is decided in one place: data.EnvironmentIndex.
+    users = sorted(p.relative_to(ROOT / "src").as_posix()
+                   for p in (ROOT / "src" / "benchsel").rglob("*.py")
+                   if "canonical_key" in p.read_text(encoding="utf-8"))
+    assert users == ["benchsel/__init__.py", "benchsel/data.py"]
 
 
 def _glibc() -> bool:
