@@ -317,7 +317,7 @@ def export_dot(pairs, categories: dict[str, str] | None = None) -> str:
 def load_categories(path) -> dict[str, str]:
     """Read the category sidecar CSV: header ``environment,category``; an
     empty or repeated environment name is a SchemaError naming its line."""
-    rows = read_csv_rows(path, ("environment", "category"))
+    rows = list(read_csv_rows(path, ("environment", "category")))
     names = [row[0].strip() for _, row in rows]
     if "" in names:
         raise SchemaError(f"{path}: row {rows[names.index('')][0]} has an "

@@ -13,9 +13,11 @@ Missing entries stay missing throughout; nothing is imputed.
 from __future__ import annotations
 
 import csv
+import math
 import re
+from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .errors import (
 TARGET_STATS = ("median", "mean")
 
 _CANON_RE = re.compile(r"[^0-9a-z]+")
+_BLANK = math.nan  # the score of a blank cell
 
 
 def canonical_key(name: str) -> str:
@@ -254,34 +257,38 @@ class PreparedDataset:
         return h.hexdigest()
 
 
-def read_csv_rows(path, header=()) -> list[tuple[int, list[str]]]:
-    """(file line number, cells) of every CSV row with a non-blank cell.
+def read_csv_rows(path, header=()) -> Iterator[tuple[int, list[str]]]:
+    """Stream (file line number, cells) of every CSV row with a non-blank
+    cell.
 
     Blank rows are skipped; line numbers still point into the file. With a
     ``header``, the first row must start with those names (any case) and is
-    dropped, and every other row must have at least as many cells.
+    not yielded, and every other row must have at least as many cells.
+    Undecodable bytes, malformed quoting and an empty file are SchemaErrors,
+    raised when the reader reaches them.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        rows = ((reader.line_num, row) for row in reader
+                if any(cell.strip() for cell in row))
         try:
-            rows = [(reader.line_num, row) for row in reader
-                    if any(cell.strip() for cell in row)]
+            first = next(rows, None)
+            if first is None:
+                raise SchemaError(f"{path}: empty file")
+            if not header:
+                yield first
+            elif ([cell.strip().casefold() for cell in first[1][:len(header)]]
+                  != list(header)):
+                raise SchemaError(f"{path}: header must be {','.join(header)}")
+            for i, row in rows:
+                if len(row) < len(header):
+                    raise SchemaError(f"{path}: row {i} has fewer than "
+                                      f"{len(header)} cells")
+                yield i, row
         except UnicodeDecodeError:
             raise SchemaError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:
             raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    if not header:
-        return rows
-    first = [cell.strip().casefold() for cell in rows[0][1][:len(header)]]
-    if first != list(header):
-        raise SchemaError(f"{path}: header must be {','.join(header)}")
-    for i, row in rows[1:]:
-        if len(row) < len(header):
-            raise SchemaError(f"{path}: row {i} has fewer than {len(header)} "
-                              "cells")
-    return rows[1:]
 
 
 def _parse_number(path, line: int, column: str, cell: str) -> float:
@@ -290,6 +297,36 @@ def _parse_number(path, line: int, column: str, cell: str) -> float:
     except ValueError:
         raise SchemaError(f"{path}: row {line}, column {column!r}: "
                           f"cannot parse {cell!r} as a number") from None
+
+
+def _parse_scores(path, line: int, row: list[str],
+                  env_cols: list[tuple[int, str]]) -> list[float]:
+    """The row's scores in ``env_cols`` order, NaN for a blank cell; a cell
+    that is not a finite number is a SchemaError naming its column."""
+    try:
+        parsed = [float(row[j]) if row[j] else _BLANK for j, _ in env_cols]
+    except ValueError:  # junk, or a whitespace-only blank
+        pass
+    else:
+        # Blank cells are the only non-finite values allowed; count()
+        # matches the shared _BLANK by identity, so a "nan" cell is no blank.
+        if len(parsed) - sum(map(math.isfinite, parsed)) == parsed.count(
+                _BLANK):
+            return parsed
+    # Cell by cell: a whitespace-only cell is blank, and the first faulty
+    # cell is named.
+    parsed = []
+    for j, env in env_cols:
+        cell = row[j].strip()
+        if not cell:
+            parsed.append(_BLANK)
+            continue
+        value = _parse_number(path, line, env, cell)
+        if not math.isfinite(value):
+            raise SchemaError(f"{path}: row {line}, column {env!r}: "
+                              f"non-finite score {cell!r}")
+        parsed.append(value)
+    return parsed
 
 
 def load_scores(path) -> RawScoreTable:
@@ -308,13 +345,17 @@ def load_scores_with_values(path, value_columns=()
     """Like :func:`load_scores`, but diverts the named columns out of the
     score matrix and returns them as ``{column: {algorithm: value|None}}``
     (for score files that carry, say, a true-summary column).
+
+    Two spellings of one name in ``value_columns`` raise
+    DuplicateEnvironmentError. Rows stream from the file into one flat
+    array of doubles, so the file is never held in memory.
     """
-    value_keys = {canonical_key(c): c for c in value_columns}
+    value_index = EnvironmentIndex(dict.fromkeys(value_columns))
     rows = read_csv_rows(path)
-    header = [cell.strip() for cell in rows[0][1]]
-    if not header or header[0].casefold() != "algorithm":
+    header = [cell.strip() for cell in next(rows)[1]]
+    if header[0].casefold() != "algorithm":
         raise SchemaError(f"{path}: first header column must be 'algorithm', "
-                          f"got {header[0] if header else ''!r}")
+                          f"got {header[0]!r}")
     prov_col = None
     env_cols: list[tuple[int, str]] = []
     value_cols: dict[str, int] = {}
@@ -323,21 +364,26 @@ def load_scores_with_values(path, value_columns=()
             if prov_col is not None:
                 raise SchemaError(f"{path}: multiple provenance columns")
             prov_col = j
-        elif canonical_key(name) in value_keys:
-            value_cols[value_keys[canonical_key(name)]] = j
+        elif (k := value_index.get(name)) is not None:
+            column = value_index.names[k]
+            if column in value_cols:
+                raise SchemaError(
+                    f"{path}: columns {header[value_cols[column]]!r} and "
+                    f"{name!r} both name value column {column!r}")
+            value_cols[column] = j
         elif not name:
             raise SchemaError(f"{path}: empty environment name in column {j + 1}")
         else:
             env_cols.append((j, name))
-    missing_values = sorted(set(value_keys.values()) - set(value_cols))
+    missing_values = sorted(set(value_index.names) - set(value_cols))
     if missing_values:
         raise SchemaError(f"{path}: no column named {missing_values[0]!r}")
 
     algorithm_ids: list[str] = []
     provenance: list[str | None] = []
     values: dict[str, dict] = {c: {} for c in value_cols}
-    scores = np.full((len(rows) - 1, len(env_cols)), np.nan)
-    for r, (i, row) in enumerate(rows[1:]):
+    scores = array("d")
+    for i, row in rows:
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {i} has {len(row)} cells, "
                               f"expected {len(header)}")
@@ -353,20 +399,13 @@ def load_scores_with_values(path, value_columns=()
                 values[column][name] = None
                 continue
             values[column][name] = _parse_number(path, i, column, cell)
-        for k, (j, env) in enumerate(env_cols):
-            cell = row[j].strip()
-            if not cell:
-                continue
-            value = _parse_number(path, i, env, cell)
-            if not np.isfinite(value):
-                raise SchemaError(f"{path}: row {i}, column {env!r}: "
-                                  f"non-finite score {cell!r}")
-            scores[r, k] = value
+        scores.extend(_parse_scores(path, i, row, env_cols))
     try:
         table = RawScoreTable(
             algorithm_ids=tuple(algorithm_ids),
             environment_ids=tuple(name for _, name in env_cols),
-            scores=scores,
+            scores=np.frombuffer(scores, dtype=np.float64).reshape(
+                len(algorithm_ids), len(env_cols)),
             provenance=tuple(provenance) if prov_col is not None else None,
         )
     except ValidationError as exc:

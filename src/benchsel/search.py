@@ -44,11 +44,13 @@ import os
 import signal
 import sys
 from dataclasses import dataclass, field, replace
+from multiprocessing import connection
 
 import numpy as np
 
 from .data import EnvironmentIndex, PreparedDataset
 from .errors import (
+    BenchselError,
     EmptySearchError,
     SingularMatrixError,
     ValidationError,
@@ -352,18 +354,78 @@ def _held_out_rows(ctx: _SearchContext, usable: np.ndarray,
         row_of_rank, slots.reshape(n, -1), axis=1).reshape(slots.shape)
 
 
-_WORKER_CTX: _SearchContext | None = None
-
-
-def _worker_init(ctx: _SearchContext) -> None:
+def _worker(ctx: _SearchContext, conn) -> None:
+    """Score the spans that arrive on ``conn`` until the parent closes it."""
     # Ctrl-C reaches the whole process group; the parent alone reports it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
+    while True:
+        try:
+            span = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = _score_block(ctx, *span)
+        except Exception as exc:
+            result = exc
+        conn.send(result)
 
 
-def _worker_score(span: tuple[int, int]):
-    return _score_block(_WORKER_CTX, span[0], span[1])
+def _score_pooled(ctx: _SearchContext, spans, n_workers: int,
+                  consume) -> None:
+    """``consume(_score_block(ctx, *span), span)`` for each span, in order,
+    scored by ``n_workers`` forked processes that each take the next span
+    when they are free.
+
+    Each worker has a pipe of its own, so one that dies holds no lock the
+    others need: its exit is an error at once, and every worker is stopped
+    on the way out.
+    """
+    mp = multiprocessing.get_context("fork")
+    workers = {}                    # parent end of a worker's pipe -> worker
+    try:
+        for _ in range(n_workers):
+            conn, child = mp.Pipe()
+            worker = mp.Process(target=_worker, args=(ctx, child),
+                                daemon=True)
+            worker.start()
+            child.close()
+            workers[conn] = worker
+        sentinels = {w.sentinel: w for w in workers.values()}
+        todo = iter(enumerate(spans))
+        running = {}                # pipe -> index of the span it scores
+        results = {}
+
+        def deal(conn):
+            for i, span in itertools.islice(todo, 1):
+                running[conn] = i
+                conn.send(span)
+
+        def died(worker):
+            worker.join()
+            return BenchselError(f"search worker {worker.pid} died "
+                                 f"(exit code {worker.exitcode})")
+
+        for conn in workers:
+            deal(conn)
+        for i, span in enumerate(spans):
+            while i not in results:
+                for ready in connection.wait([*running, *sentinels]):
+                    if ready in sentinels:
+                        raise died(sentinels[ready])
+                    try:    # a pipe fails only when its worker has exited
+                        results[running.pop(ready)] = ready.recv()
+                        deal(ready)
+                    except (EOFError, OSError):
+                        raise died(workers[ready]) from None
+            result = results.pop(i)
+            if isinstance(result, Exception):
+                raise result
+            consume(result, span)
+    finally:
+        for conn, worker in workers.items():
+            worker.terminate()
+            worker.join()
+            conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +596,7 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
         for span in spans:
             consume(_score_block(ctx, *span), span)
     else:
-        mp = multiprocessing.get_context("fork")
-        with mp.Pool(min(threads, len(spans)), initializer=_worker_init,
-                     initargs=(ctx,)) as pool:
-            for span, result in zip(spans, pool.imap(_worker_score, spans)):
-                consume(result, span)
+        _score_pooled(ctx, spans, min(threads, len(spans)), consume)
 
     def empty_search(message):
         return EmptySearchError(message, skip_stats={

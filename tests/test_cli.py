@@ -78,10 +78,16 @@ def _ignores_sigint(pid: str) -> bool:
     return bool(int(mask, 16) >> (signal.SIGINT - 1) & 1)
 
 
-@pytest.mark.skipif(
+needs_child_lists = pytest.mark.skipif(
     not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
     reason="needs /proc child lists")
-def test_ctrl_c_exits_130_with_one_line_and_no_workers(tmp_path):
+
+
+def _interrupted_search(tmp_path, interrupt) -> tuple[int, str]:
+    """Run a 2-worker search in a process group of its own, call
+    ``interrupt`` with the parent's pid and its workers' once both workers
+    ignore SIGINT, and return the exit code and stderr once the group has
+    no process left."""
     # 62 algorithms on the 57 shipped games: C(57, 5) candidates keep two
     # workers busy for several seconds.
     rng = np.random.default_rng(3)
@@ -105,19 +111,44 @@ def test_ctrl_c_exits_130_with_one_line_and_no_workers(tmp_path):
                    and all(map(_ignores_sigint, workers))):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
-        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C does
+        interrupt(proc.pid, workers)
         err = proc.communicate(timeout=60)[1]
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert proc.returncode == 130
-    assert err.splitlines() == ["benchsel: error: interrupted"]
     deadline = time.monotonic() + 10
     with pytest.raises(ProcessLookupError):
         while time.monotonic() < deadline:  # no process left in the group
             os.killpg(proc.pid, 0)
             time.sleep(0.05)
+    return proc.returncode, err
+
+
+@needs_child_lists
+def test_ctrl_c_exits_130_with_one_line_and_no_workers(tmp_path):
+    returncode, err = _interrupted_search(
+        tmp_path, lambda pid, workers: os.killpg(pid, signal.SIGINT))
+    assert returncode == 130  # as after Ctrl-C, which signals the group
+    assert err.splitlines() == ["benchsel: error: interrupted"]
+
+
+@needs_child_lists
+def test_killed_worker_exits_one_with_one_line_and_no_workers(tmp_path):
+    # The parent must not wait forever for the dead worker's block, nor
+    # for a lock the dead worker held.
+    killed = []
+
+    def kill_one(pid, workers):
+        killed.append(workers[0])
+        os.kill(int(workers[0]), signal.SIGKILL)
+
+    started = time.monotonic()
+    returncode, err = _interrupted_search(tmp_path, kill_one)
+    assert returncode == 1
+    assert err.splitlines() == [
+        f"benchsel: error: search worker {killed[0]} died (exit code -9)"]
+    assert time.monotonic() - started < 60
 
 
 class TestSearchCommand:

@@ -1,3 +1,7 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +26,7 @@ from benchsel.data import (
 from benchsel.errors import (
     BenchselError,
     DegenerateDataError,
+    DuplicateEnvironmentError,
     EnvironmentLookupError,
     SchemaError,
     ValidationError,
@@ -109,6 +114,25 @@ class TestLoadScores:
         assert table.environment_ids == ("Pong",)
         assert values["median57"] == {"a1": 42.5, "a2": None}
 
+    def test_two_spellings_of_a_value_column_argument_rejected(
+            self, scores_csv):
+        path = scores_csv([["a1", 1.0, 42.5]],
+                          header=["algorithm", "Pong", "median57"])
+        with pytest.raises(DuplicateEnvironmentError, match="Median57"):
+            load_scores_with_values(path, ("median57", "Median57"))
+        # one spelling twice, as --true-summary and --ignore-columns give it
+        _, values = load_scores_with_values(path, ("median57", "median57"))
+        assert values == {"median57": {"a1": 42.5}}
+
+    def test_two_header_spellings_of_a_value_column_rejected(
+            self, scores_csv):
+        path = scores_csv([["a1", 1.0, 42.5, 40.0]],
+                          header=["algorithm", "Pong", "median57",
+                                  "Median57"])
+        with pytest.raises(SchemaError, match=r"scores\.csv: columns "
+                           r"'median57' and 'Median57'"):
+            load_scores_with_values(path, ("median57",))
+
 
 CSV_TOKENS = ["algorithm", "environment", "random", "human", "category",
               "provenance", "median57", "Pong", "PONG", "Q*Bert", "a1",
@@ -163,6 +187,152 @@ class TestMalformedCsv:
                 load(path)
             except BenchselError:
                 pass
+
+
+def reference_load(path, value_columns=()):
+    """The cell-by-cell loader the streamed one replaced: read every row,
+    then parse and check one cell at a time."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader
+                if any(cell.strip() for cell in row)]
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    value_keys = {canonical_key(c): c for c in value_columns}
+    header = [cell.strip() for cell in rows[0][1]]
+    if header[0].casefold() != "algorithm":
+        raise SchemaError(f"{path}: first header column must be 'algorithm', "
+                          f"got {header[0]!r}")
+    prov_col, env_cols, value_cols = None, [], {}
+    for j, name in enumerate(header[1:], start=1):
+        if name.casefold() == "provenance":
+            if prov_col is not None:
+                raise SchemaError(f"{path}: multiple provenance columns")
+            prov_col = j
+        elif canonical_key(name) in value_keys:
+            value_cols[value_keys[canonical_key(name)]] = j
+        elif not name:
+            raise SchemaError(f"{path}: empty environment name in column "
+                              f"{j + 1}")
+        else:
+            env_cols.append((j, name))
+    missing = sorted(set(value_keys.values()) - set(value_cols))
+    if missing:
+        raise SchemaError(f"{path}: no column named {missing[0]!r}")
+
+    def number(line, column, cell):
+        try:
+            return float(cell)
+        except ValueError:
+            raise SchemaError(f"{path}: row {line}, column {column!r}: "
+                              f"cannot parse {cell!r} as a number") from None
+
+    ids, provenance, values = [], [], {c: {} for c in value_cols}
+    scores = np.full((len(rows) - 1, len(env_cols)), np.nan)
+    for r, (i, row) in enumerate(rows[1:]):
+        if len(row) != len(header):
+            raise SchemaError(f"{path}: row {i} has {len(row)} cells, "
+                              f"expected {len(header)}")
+        name = row[0].strip()
+        if not name:
+            raise SchemaError(f"{path}: row {i} has an empty algorithm name")
+        ids.append(name)
+        provenance.append(row[prov_col].strip() or None
+                          if prov_col is not None else None)
+        for column, j in value_cols.items():
+            cell = row[j].strip()
+            values[column][name] = number(i, column, cell) if cell else None
+        for k, (j, env) in enumerate(env_cols):
+            cell = row[j].strip()
+            if not cell:
+                continue
+            value = number(i, env, cell)
+            if not np.isfinite(value):
+                raise SchemaError(f"{path}: row {i}, column {env!r}: "
+                                  f"non-finite score {cell!r}")
+            scores[r, k] = value
+    try:
+        table = RawScoreTable(tuple(ids), tuple(n for _, n in env_cols),
+                              scores, tuple(provenance)
+                              if prov_col is not None else None)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return table, values
+
+
+# Valid cells four times over, so that most rows parse.
+SCORE_CELLS = 4 * ["", " ", "1.5", " 1.5 ", "1_000", "1e3", "-0", "0",
+                   "-2.5e-3", "\t7\t"] + ["1e400", "nan", "NaN", "-inf",
+                                            "inf", "x", "1.5.2", "1__0"]
+ENV_NAMES = ["Pong", "Q*Bert", "Breakout", "Ms. Pac-Man"]
+
+
+@st.composite
+def score_files(draw):
+    """(CSV text, value columns) of a score file that mixes provenance and
+    value columns, odd cells, short and long rows and blank names."""
+    columns = draw(st.lists(st.sampled_from(ENV_NAMES), unique=True,
+                            max_size=4))
+    columns += draw(st.sampled_from([[], ["provenance"]]))
+    columns += draw(st.sampled_from([[], ["median57"], ["median57"],
+                                     ["Median57"]]))
+    columns = draw(st.permutations(columns))
+    value_columns = draw(st.sampled_from([(), ("median57",)]))
+    width = 1 + len(columns)
+    lines = [["algorithm", *columns]]
+    for r in range(draw(st.integers(0, 6))):
+        row = [draw(st.sampled_from(3 * [f"a{r}"] + [f" a{r} ", "a0", ""]))]
+        row += draw(st.lists(st.sampled_from(SCORE_CELLS),
+                             min_size=width - 1, max_size=width - 1))
+        if draw(st.integers(0, 9)) == 0:
+            row = row[:-1] if len(row) > 1 and draw(st.booleans()) else [
+                *row, "1"]
+        lines.append(row)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(lines)
+    return out.getvalue(), value_columns
+
+
+def _outcome(load, path, value_columns):
+    """What a loader returns or raises, with every float in exact bits."""
+    try:
+        table, values = load(path, value_columns)
+    except BenchselError as exc:
+        return type(exc), str(exc)
+    exact = {c: {a: None if v is None else v.hex() for a, v in col.items()}
+             for c, col in values.items()}
+    return (table.scores.shape, table.scores.tobytes(), table.algorithm_ids,
+            table.environment_ids, table.provenance, exact)
+
+
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=score_files())
+def test_streamed_loader_matches_cell_by_cell_reference(tmp_path, case):
+    text, value_columns = case
+    path = tmp_path / "scores.csv"
+    path.write_text(text, encoding="utf-8")
+    assert (_outcome(load_scores_with_values, path, value_columns)
+            == _outcome(reference_load, path, value_columns))
+
+
+def test_streamed_loader_keeps_exact_values(scores_csv):
+    path = scores_csv([["a1", " 1.5 ", "1_000", "1e3", "-0", " ", "2"]],
+                      header=["algorithm", "g1", "g2", "g3", "g4", "g5",
+                              "median57"])
+    table, values = load_scores_with_values(path, ("median57",))
+    assert table.scores[0, :4].tolist() == [1.5, 1000.0, 1000.0, 0.0]
+    assert math.copysign(1.0, table.scores[0, 3]) == -1.0
+    assert math.isnan(table.scores[0, 4])
+    assert values == {"median57": {"a1": 2.0}}
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+def test_literal_non_finite_score_is_not_a_blank(scores_csv, cell):
+    path = scores_csv([["a1", "", cell]], header=["algorithm", "g1", "g2"])
+    with pytest.raises(SchemaError, match=rf"row 2, column 'g2': "
+                       rf"non-finite score '{cell}'"):
+        load_scores(path)
 
 
 class TestNormalize:

@@ -1,6 +1,7 @@
 """The benchmark's tracer and the demo scripts keep working, the CLI
 starts without loading scipy or numpy.ma, name matching stays in the data
-module, and CV blocks reuse freed memory.
+module, score tables load without holding the file, and CV blocks reuse
+freed memory.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
@@ -11,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +153,31 @@ def test_canonical_key_only_in_data_module():
                    for p in (ROOT / "src" / "benchsel").rglob("*.py")
                    if "canonical_key" in p.read_text(encoding="utf-8"))
     assert users == ["benchsel/__init__.py", "benchsel/data.py"]
+
+
+def test_score_table_ingest_does_not_hold_the_file(tmp_path):
+    # 2,000 checkpoints x 57 games, one score in ten blank, plus a
+    # true-summary column. Holding every row as strings peaked near 10x
+    # the matrix; streaming into one array of doubles stays near 2.5x.
+    from benchsel.data import load_scores_with_values
+
+    rng = np.random.default_rng(5)
+    scores = rng.uniform(-100.0, 1e5, size=(2000, 57))
+    path = tmp_path / "table.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("algorithm," + ",".join(f"game{j:02d}" for j in range(57))
+                 + ",median57\n")
+        for i, row in enumerate(scores.tolist()):
+            cells = ["" if rng.random() < 0.1 else repr(x) for x in row]
+            fh.write(f"ckpt-{i:04d}," + ",".join(cells) + f",{row[0]!r}\n")
+    tracemalloc.start()
+    try:
+        table, _ = load_scores_with_values(path, ("median57",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.scores.shape == (2000, 57)
+    assert peak < 4 * table.scores.nbytes
 
 
 def _glibc() -> bool:
