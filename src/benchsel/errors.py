@@ -1,8 +1,16 @@
 """Exception hierarchy shared by all benchsel modules."""
 
+import copyreg
+
 
 class BenchselError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Unpickle from the message and attributes without calling
+        # __init__, whose arguments differ per subclass: a search worker
+        # sends its error to the parent by pickling it.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class SchemaError(BenchselError):

@@ -14,12 +14,14 @@ set) fit and k-fold cross-validation. Cross-validation downdates: with the
 target stored as the design's last column, one product over each fold's
 padded held-out rows gives that fold's Gram and right-hand side, every
 training system is the full system minus that, and all candidates x folds
-systems are solved in one batched call. ``_cv_mse_batched`` forms those
-products per candidate from gathered rows; ``cross_validated_mse`` (one
-candidate) and subset searches with scattered gaps use it.
-``_fold_tables`` forms them once per usable-row mask over every column a
-search can fit, and ``_cv_mse_tabled`` scores a block of candidates
-sharing those masks by gathering from the tables.
+systems are solved in one batched call. One kernel does it all:
+``_fold_tables`` builds a stack of tables, each holding some rows'
+held-out values and training systems over some columns, and
+``_cv_mse_tabled`` scores candidates from them. A table serves either one
+candidate (``cross_validated_mse``, and subset searches with scattered
+gaps, one per candidate of a block) or every candidate sharing a
+usable-row mask (searches with leaderboard gaps, one per mask, over every
+column the search can fit). Both give bit-identical results.
 """
 
 from __future__ import annotations
@@ -327,19 +329,58 @@ def fold_slots(rows: int, folds: int, seed: int, width: int,
     return slots
 
 
-def _cv_mse_batched(Z: np.ndarray, rows: np.ndarray,
-                    cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k-fold CV of a stack of candidate designs by fold downdating.
+def _fold_tables(Z: np.ndarray, rows: np.ndarray, cols: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Held-out values and downdated training systems for ``_cv_mse_tabled``.
 
     Parameters
     ----------
-    Z : ndarray, shape (R + 1, K)
-        Every row and column any candidate may use, targets included; the
-        last row is all zeros and stands in for padding.
-    rows : ndarray, shape (N, F, S)
-        Per candidate and fold, the held-out rows, padded with R.
-    cols : ndarray, shape (N, C + 1)
-        Per candidate, the columns of ``Z`` it fits, then its target column.
+    Z : ndarray, shape (R + 1, ·)
+        Every row and column any table may use, targets included; the last
+        row is all zeros and stands in for padding.
+    rows : ndarray, shape (M, F, S)
+        Per table and fold, the held-out rows, padded with R.
+    cols : ndarray, shape (K,) or (M, K)
+        The columns of ``Z`` every table, or each table, holds, target
+        column last.
+
+    Returns
+    -------
+    held : ndarray, shape (S, M, K, F)
+        Per held-out slot, table and column, each fold's held-out value,
+        padded with 0.
+    train : ndarray, shape (M, K - 1, K, F)
+        Per table, the training systems [G | b] of every fold: the product
+        X'[X | t] over the table's rows minus the held-out fold's. It is a
+        view laid out in memory as (M, F, K - 1, K), which suits own
+        tables; tables looked up by mask must be made contiguous first,
+        so that each entry's F folds form one run.
+    fold_sizes : ndarray, shape (M, F)
+        Held-out rows per fold.
+
+    One product X'[X | t] over each fold's held-out rows gives that fold's
+    Gram and right-hand side together, and every training system is their
+    sum over folds minus the fold's own. Padding rows contribute exact
+    zeros, so a table depends neither on the others in the stack nor, as
+    the tests check, on the padded width.
+    """
+    K = np.shape(cols)[-1]
+    H = np.take(Z.ravel(), rows[..., None] * Z.shape[1]
+                + np.reshape(cols, (-1, 1, 1, K)))        # (M, F, S, K)
+    G = np.swapaxes(H[..., :-1], -1, -2) @ H              # (M, F, K - 1, K)
+    train = np.moveaxis(G.sum(axis=1, keepdims=True) - G, 1, -1)
+    held = np.ascontiguousarray(np.transpose(H, (2, 0, 3, 1)))
+    return held, train, (rows != Z.shape[0] - 1).sum(axis=-1)
+
+
+def _cv_mse_tabled(held: np.ndarray, train: np.ndarray,
+                   fold_sizes: np.ndarray, mask_ids: np.ndarray | None,
+                   cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """k-fold CV of a stack of candidates from ``_fold_tables``.
+
+    ``mask_ids`` (N,) picks each candidate's table and ``cols`` (N, C + 1)
+    its table columns, target last. With both None, table i is candidate
+    i's own, holding exactly the columns it fits, then its target.
 
     Returns
     -------
@@ -349,106 +390,36 @@ def _cv_mse_batched(Z: np.ndarray, rows: np.ndarray,
         Per fold, the first rank-deficient column of its training system,
         else -1 (see ``_chol_solve_batched``).
 
-    One product X'[X | t] over each fold's held-out rows gives that fold's
-    Gram and right-hand side together. Each training system is the
-    candidate's full system minus its held-out fold's, and all N x F of
-    them go through one batched solve. Residuals are formed explicitly on
-    held-out rows rather than expanded as t'Pt - 2 beta'b + beta'G beta,
-    which cancels badly on near-exact fits. Padding rows contribute 0 to
-    every Gram, right-hand side and residual, so a candidate's result does
-    not depend on the others in the stack.
+    Own tables are the systems as they stand; from shared tables every
+    entry of [G | b] is one gathered run of F folds. All N x F systems go
+    through one batched solve. Residuals are formed explicitly on held-out
+    rows rather than expanded as t'Pt - 2 beta'b + beta'G beta, which
+    cancels badly on near-exact fits: one fitted column at a time, over
+    every held-out slot, candidate and fold at once. Every step works on
+    fixed per-candidate shapes in one layout, so a candidate's result
+    depends neither on the others in the stack nor on which kind of table
+    holds it.
     """
-    Z_test = Z[rows[..., None], cols[:, None, None, :]]   # (N, F, S, C + 1)
-    X_test = Z_test[..., :-1]
-    A_test = np.swapaxes(X_test, -1, -2) @ Z_test
-    beta, bad = _chol_solve_batched(A_test.sum(axis=1, keepdims=True) - A_test)
-    residual = (X_test @ beta[..., None])[..., 0] - Z_test[..., -1]
-    fold_sizes = (rows != Z.shape[0] - 1).sum(axis=-1)
-    cv = ((residual ** 2).sum(axis=-1) / fold_sizes).mean(axis=-1)
-    return cv, bad
-
-
-def _fold_tables(Z: np.ndarray, masks: np.ndarray, cols: np.ndarray,
-                 folds: int, seed: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mask fold tables for ``_cv_mse_tabled``.
-
-    Parameters
-    ----------
-    Z : ndarray, shape (R + 1, ·)
-        As in ``_cv_mse_batched``: the last row is all zeros.
-    masks : ndarray, shape (M, R)
-        Usable rows, one mask per table.
-    cols : ndarray, shape (K,)
-        The columns of ``Z`` the tables hold, target column last.
-
-    Returns
-    -------
-    held : ndarray, shape (S, M, K, F)
-        Per held-out slot (S = ceil(R / folds), as for every candidate of
-        a search without tables), mask and column, each fold's held-out
-        value, padded with 0.
-    train : ndarray, shape (M, K, K, F)
-        Per mask, Gram entry and fold, the training system: the Gram of
-        all usable rows minus the held-out fold's. Folds are the last
-        axis, the stack axis of ``_chol_solve_batched``'s elimination.
-    fold_sizes : ndarray, shape (M, F)
-        Held-out rows per fold.
-
-    Folds are those of ``fold_assignment`` over the mask's usable rows in
-    ascending order, as in a search without tables. A mask with fewer
-    usable rows than folds gets zero tables and fold sizes of 1.
-    """
-    R, K = Z.shape[0] - 1, len(cols)
-    width = -(-R // folds)
-    held = np.zeros((width, len(masks), K, folds))
-    train = np.zeros((len(masks), K, K, folds))
-    fold_sizes = np.ones((len(masks), folds), dtype=np.int64)
-    for i, mask in enumerate(masks):
-        usable = np.append(np.flatnonzero(mask), R)
-        n = len(usable) - 1
-        if n < folds:
-            continue
-        ranks = fold_slots(n, folds, seed, width, pad=n)
-        H = Z[usable[ranks][..., None], cols]             # (F, S, K)
-        G = np.swapaxes(H, -1, -2) @ H
-        train[i] = np.moveaxis(G.sum(axis=0) - G, 0, -1)
-        held[:, i] = np.transpose(H, (1, 2, 0))
-        fold_sizes[i] = (ranks != n).sum(axis=1)
-    return held, train, fold_sizes
-
-
-def _cv_mse_tabled(held: np.ndarray, train: np.ndarray,
-                   fold_sizes: np.ndarray, mask_ids: np.ndarray,
-                   cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k-fold CV of a stack of candidates from ``_fold_tables``.
-
-    ``mask_ids`` (N,) picks each candidate's mask and ``cols`` (N, C + 1)
-    its table columns, target last. Returns ``(cv, bad)`` as
-    ``_cv_mse_batched`` does.
-
-    Every entry of the training systems [G | b] is one gather of a run of
-    F folds from ``train``, laid out as the batched solve eliminates it,
-    and all N x F systems go through one batched solve. Residuals are
-    formed explicitly, one fitted column at a time, over every held-out
-    slot, candidate and fold at once; with slots first, each step runs
-    over long contiguous rows. Every step works on fixed per-candidate
-    shapes, so a candidate's result does not depend on the others in the
-    stack.
-    """
-    M, K, _, F = train.shape
-    fit, both = cols[:, :-1].T, cols.T                    # (C, N), (C + 1, N)
-    entry = mask_ids * (K * K) + fit[:, None] * K + both  # (C, C + 1, N)
-    systems = np.take(train.reshape(M * K * K, F), entry, axis=0)
-    beta, bad = _chol_solve_batched(np.moveaxis(systems, (0, 1), (-2, -1)))
+    if mask_ids is None:
+        systems = np.moveaxis(train, -1, 1)               # (N, F, C, C + 1)
+        columns = np.moveaxis(held, 2, 0)                 # (C + 1, S, N, F)
+    else:
+        M, K1, K, F = train.shape
+        fit, both = cols[:, :-1].T, cols.T                # (C, N), (C + 1, N)
+        entry = mask_ids * (K1 * K) + fit[:, None] * K + both
+        systems = np.moveaxis(np.take(train.reshape(-1, F), entry, axis=0),
+                              (0, 1), (-2, -1))
+        runs = held.reshape(len(held), M * K, F)
+        columns = (np.take(runs, run, axis=1) for run in mask_ids * K + both)
+        fold_sizes = fold_sizes[mask_ids]
+    beta, bad = _chol_solve_batched(systems)
     coef = np.moveaxis(beta, -1, 0)                       # (C, N, F)
-    runs = held.reshape(len(held), M * K, F)
-    run_of = mask_ids * K + both                          # (C + 1, N)
-    residual = np.take(runs, run_of[0], axis=1) * coef[0]  # (S, N, F)
-    for i in range(1, len(coef)):
-        residual += np.take(runs, run_of[i], axis=1) * coef[i]
-    residual -= np.take(runs, run_of[-1], axis=1)
-    cv = ((residual ** 2).sum(axis=0) / fold_sizes[mask_ids]).mean(axis=-1)
+    columns = iter(columns)
+    residual = next(columns) * coef[0]                    # (S, N, F)
+    for c in coef[1:]:
+        residual += next(columns) * c
+    residual -= next(columns)
+    cv = ((residual ** 2).sum(axis=0) / fold_sizes).mean(axis=-1)
     return cv, bad
 
 
@@ -458,11 +429,11 @@ def cross_validated_mse(X, t, folds: int, seed: int,
     """Mean over folds of held-out mean squared error.
 
     A pure function of (X, t, folds, seed, with_intercept): the same seed
-    gives a bit-identical result. It is a one-candidate call into the
-    engine that scores subset searches, so a search reports the same
-    value for the same rows up to rounding. Raises SingularMatrixError,
-    naming the first rank-deficient column of the first such fold, if any
-    training fold is rank-deficient.
+    gives a bit-identical result. It scores one table with the kernel
+    that scores subset searches, so a search reports the same value, to
+    the bit, for a candidate with these usable rows. Raises
+    SingularMatrixError, naming the first rank-deficient column of the
+    first such fold, if any training fold is rank-deficient.
     """
     X, t = _as_design(X, t, with_intercept)
     if folds < 2:
@@ -476,8 +447,9 @@ def cross_validated_mse(X, t, folds: int, seed: int,
         design[:rows, -2] = 1.0
     design[:rows, -1] = t
     slots = fold_slots(rows, folds, seed, -(-rows // folds), pad=rows)
-    cv, bad = _cv_mse_batched(design, slots[None],
-                              np.arange(design.shape[1])[None])
+    cv, bad = _cv_mse_tabled(*_fold_tables(design, slots[None],
+                                           np.arange(design.shape[1])),
+                             None, None)
     bad_folds = np.flatnonzero(bad[0] != -1)
     if len(bad_folds):
         raise SingularMatrixError(_column_name(

@@ -3,30 +3,29 @@
 Candidate subsets are enumerated in colexicographic order through the
 combinatorial number system, so a block of candidates is fully determined
 by a rank interval [start, stop). Workers receive rank intervals, unrank
-them to index arrays, and score a whole block at once with one of two
-engines:
+them to index arrays, and score a whole block at once with the one CV
+kernel, ``linreg._fold_tables`` and ``linreg._cv_mse_tabled``, fed by one
+of two kinds of table:
 
-* Fold tables (``linreg._cv_mse_tabled``). Fittable columns whose
-  availability is identical form one class, so a candidate's usable rows
-  depend only on the set of classes it touches, encoded as a bit key.
-  When tables for every reachable key fit in ``WORKING_SET_DOUBLES``, the
-  search builds them once: per key, the held-out design of each fold and
-  each fold's training Gram over every fittable column. A block then
-  looks up each candidate's key, gathers its training systems from the
-  tables and its held-out values for the residuals. Leaderboard gaps
-  (whole games missing for some algorithms) leave a few classes and
-  thousands of candidates per key.
-* Gathered rows (``linreg._cv_mse_batched``), when the tables would not
-  fit, as with scattered gaps, where nearly every game is its own class.
-  A per-search slot table, indexed by the number of usable algorithms,
-  lists each fold's held-out usable ranks, so a block gathers every
-  candidate's held-out rows, downdates the full Gram by each fold's.
+* Per mask. Fittable columns whose availability is identical form one
+  class, so a candidate's usable rows depend only on the set of classes
+  it touches, encoded as a bit key. When tables for every reachable key
+  fit in ``WORKING_SET_DOUBLES``, the search builds them once: per key,
+  the held-out values of each fold and each fold's training system over
+  every fittable column. A block then looks up each candidate's key and
+  gathers its training systems and held-out values from the tables.
+  Leaderboard gaps (whole games missing for some algorithms) leave a few
+  classes and thousands of candidates per key.
+* Per candidate, when the tables would not fit, as with scattered gaps,
+  where nearly every game is its own class. A per-search slot table,
+  indexed by the number of usable algorithms, lists each fold's held-out
+  usable ranks, so a block gathers every candidate's held-out rows and
+  builds one table per candidate holding just its columns.
 
-Either way all candidates x folds systems of a block are solved in one
-batched call. A candidate's result does not depend on the block it lands
-in, and the final merge uses the total order (cv_mse, sorted environment
-names), so the ranking is bit-identical whatever the worker count or
-block size.
+Both run the same arithmetic, so they give bit-identical cv_mse. A
+candidate's result does not depend on the block it lands in, and the
+final merge uses the total order (cv_mse, sorted environment names), so
+the ranking is bit-identical whatever the worker count or block size.
 
 Per subset, any algorithm missing one of the required scores is dropped
 for that candidate only. Candidates left with fewer usable algorithms
@@ -59,7 +58,6 @@ from .linreg import (
     MAX_COLUMNS,
     FitStats,
     LinearModel,
-    _cv_mse_batched,
     _cv_mse_tabled,
     _fold_tables,
     fit_ols,
@@ -219,7 +217,7 @@ class _MaskTables:
     n_usable: np.ndarray   # (M,) usable rows per key
     table_col: np.ndarray  # (n_env + 2,) column of X -> table column
     held: np.ndarray       # (S, M, K, F) see ``linreg._fold_tables``
-    train: np.ndarray      # (M, K, K, F)
+    train: np.ndarray      # (M, K - 1, K, F)
     fold_sizes: np.ndarray  # (M, F)
 
 
@@ -251,10 +249,14 @@ class _SearchContext:
         return self.subset_size - len(self.must_cols)
 
 
-def _slot_table(m: int, folds: int, seed: int) -> np.ndarray:
+def _slot_table(m: int, folds: int, seed: int, counts=None) -> np.ndarray:
+    """(m + 1, folds, ceil(m / folds)): for each usable-row count in
+    ``counts`` (default: all) that is at least ``folds``, each fold's usable
+    ranks; every other entry is the padding rank m."""
     table = np.full((m + 1, folds, -(-m // folds)), m, dtype=np.int64)
-    for rows in range(folds, m + 1):
-        table[rows] = fold_slots(rows, folds, seed, table.shape[2], pad=m)
+    for rows in range(m + 1) if counts is None else set(counts.tolist()):
+        if rows >= folds:
+            table[rows] = fold_slots(rows, folds, seed, table.shape[2], pad=m)
     return table
 
 
@@ -312,8 +314,9 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     fit_cols = fit_cols[keep]
     n_usable = n_usable[keep]
     if tables is None:
-        rows = _held_out_rows(ctx, usable[keep], n_usable)
-        cv, bad = _cv_mse_batched(ctx.X, rows, fit_cols)
+        rows = _held_out_rows(ctx.slots, usable[keep], n_usable)
+        cv, bad = _cv_mse_tabled(*_fold_tables(ctx.X, rows, fit_cols),
+                                 None, None)
     else:
         cv, bad = _cv_mse_tabled(tables.held, tables.train, tables.fold_sizes,
                                  mask_id[keep], tables.table_col[fit_cols])
@@ -339,19 +342,20 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     return len(cv) - n_singular, n_skip_rows, n_singular, finalists[:ctx.top_k]
 
 
-def _held_out_rows(ctx: _SearchContext, usable: np.ndarray,
+def _held_out_rows(slots: np.ndarray, usable: np.ndarray,
                    n_usable: np.ndarray) -> np.ndarray:
-    """(N, F, S) held-out rows of candidates with usable-row masks
-    ``usable`` (N, m), padded with the all-zero row m."""
+    """(N, F, S) held-out rows of candidates or masks with usable rows
+    ``usable`` (N, m), padded with the all-zero row m; ``slots`` is a
+    ``_slot_table`` filled for every count in ``n_usable``."""
     # Row index of each usable rank (usable rows first, ascending), with
     # the padding rank m mapped to the padding row.
     n, m = usable.shape
     row_of_rank = np.empty((n, m + 1), dtype=np.int64)
     row_of_rank[:, :m] = np.argsort(~usable, axis=1, kind="stable")
     row_of_rank[:, m] = m
-    slots = ctx.slots[n_usable]                       # (N, F, S) ranks
+    ranks = slots[n_usable]                           # (N, F, S)
     return np.take_along_axis(
-        row_of_rank, slots.reshape(n, -1), axis=1).reshape(slots.shape)
+        row_of_rank, ranks.reshape(n, -1), axis=1).reshape(ranks.shape)
 
 
 def _worker(ctx: _SearchContext, conn) -> None:
@@ -536,13 +540,16 @@ def _mask_tables(X: np.ndarray, avail: np.ndarray, pool: np.ndarray,
     absent = ~np.frombuffer(b"".join(classes), dtype=bool).reshape(-1, m)
     touched = (keys[:, None] >> np.arange(len(classes))) & 1 == 1
     masks = ~(touched[:, :, None] & absent).any(axis=1)
-    held, train, fold_sizes = _fold_tables(X, masks, table_cols,
-                                           config.folds, config.seed)
+    n_usable = masks.sum(axis=1)
+    slots = _slot_table(m, config.folds, config.seed, n_usable)
+    held, train, fold_sizes = _fold_tables(
+        X, _held_out_rows(slots, masks, n_usable), table_cols)
     table_col = np.full(n + 2, -1, dtype=np.int64)
     table_col[table_cols] = np.arange(len(table_cols))
     return _MaskTables(class_bit=class_bit, keys=keys,
-                       n_usable=masks.sum(axis=1), table_col=table_col,
-                       held=held, train=train, fold_sizes=fold_sizes)
+                       n_usable=n_usable, table_col=table_col,
+                       held=held, train=np.ascontiguousarray(train),
+                       fold_sizes=fold_sizes)
 
 
 def _refit(ctx: _SearchContext, cols: tuple[int, ...], cv_mse: float

@@ -1,14 +1,18 @@
-"""The fold-downdate CV engines against their references.
+"""The fold-downdate CV kernel against its references.
 
-A search scores its candidates from per-search fold tables when they fit
-(``linreg._cv_mse_tabled``) and by gathering each block's held-out rows
-otherwise (``linreg._cv_mse_batched``). ``cv_engine`` forces either one,
-and the properties below hold for both.
+``linreg._fold_tables`` builds held-out values and training systems and
+``linreg._cv_mse_tabled`` scores candidates from them. A search builds
+one table per usable-row mask when the tables fit, and otherwise one
+table per candidate of each block from its gathered held-out rows;
+``cv_engine`` forces either one. Both run the same arithmetic, so they
+give the same ranking and bit-identical cv_mse, and so does
+``cross_validated_mse`` on a candidate's usable rows.
 
 ``per_fold_block_cv`` is the block engine that fold downdating replaced:
 for every fold it rebuilds each candidate's Gram over all rows and its
-residuals over all rows. It is kept here as the reference. The engines
-sum in a different order, so they agree to a tolerance, not to the bit.
+residuals over all rows. It is kept here as the reference. It sums in a
+different order, so the kernel agrees with it to a tolerance, not to the
+bit.
 """
 
 import contextlib
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 
 from benchsel import search
 from benchsel.data import FilterConfig, PreparedDataset
-from benchsel.linreg import fold_assignment
+from benchsel.linreg import cross_validated_mse, fold_assignment
 from benchsel.search import (
     SearchConfig,
     _build_context,
@@ -37,8 +41,9 @@ ENGINES = ("tables", "gather")
 
 @contextlib.contextmanager
 def cv_engine(name):
-    """Inside the ``with`` block, searches score with the fold-table engine
-    (the default, where the tables fit) or with the gather engine."""
+    """Inside the ``with`` block, searches score from per-mask tables (the
+    default, where they fit) or from per-candidate tables of gathered
+    rows."""
     with pytest.MonkeyPatch.context() as mp:
         if name == "gather":
             mp.setattr(search, "_mask_tables", lambda *args: None)
@@ -96,6 +101,10 @@ def per_fold_block_cv(ctx):
 
 def _scored(result):
     return {tuple(sorted(c.subset)): c.cv_mse for c in result.ranked}
+
+
+def _listing(result):
+    return [(c.subset, c.cv_mse, c.n_algorithms_used) for c in result.ranked]
 
 
 @pytest.mark.parametrize("with_intercept", [False, True],
@@ -252,19 +261,14 @@ def test_tables_match_gather_engine(with_intercept):
     _, tabled, gathered = _both_engines(_block_gap_dataset(), config)
     assert tabled.skip_stats == gathered.skip_stats
     assert tabled.skipped_insufficient_rows > 0
-    assert [c.subset for c in tabled.ranked] == \
-           [c.subset for c in gathered.ranked]
-    for a, b in zip(tabled.ranked, gathered.ranked):
-        assert a.cv_mse == pytest.approx(b.cv_mse, rel=1e-11)
-        assert a.n_algorithms_used == b.n_algorithms_used
+    assert _listing(tabled) == _listing(gathered)
 
 
 @pytest.mark.parametrize("with_intercept", [False, True],
                          ids=["no-intercept", "intercept"])
 def test_tables_match_gather_engine_singular_verdicts(with_intercept):
-    # Twins that differ only in which copy they hold tie exactly in one
-    # engine but not necessarily in the other, so only verdicts and
-    # values are compared, not order.
+    # Twins that differ only in which copy they hold tie exactly, and
+    # break the tie by name the same way in both engines.
     config = SearchConfig(subset_size=3, folds=10, seed=5,
                           with_intercept=with_intercept, top_k=1000)
     tables, tabled, gathered = _both_engines(
@@ -272,7 +276,26 @@ def test_tables_match_gather_engine_singular_verdicts(with_intercept):
     assert tables.class_bit[1] == tables.class_bit[9] != 0
     assert tabled.skip_stats == gathered.skip_stats
     assert tabled.skipped_singular > 0
-    scored = _scored(gathered)
-    assert _scored(tabled).keys() == scored.keys()
-    for key, cv in _scored(tabled).items():
-        assert cv == pytest.approx(scored[key], rel=1e-11)
+    assert _listing(tabled) == _listing(gathered)
+
+
+@pytest.mark.parametrize("with_intercept", [False, True],
+                         ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_scalar_cv_equals_search_cv_mse(engine, with_intercept):
+    # A search pads each fold to ceil(algorithms / folds) slots, the
+    # scalar call to ceil(usable rows / folds); padding adds exact zeros.
+    ds = _block_gap_dataset()
+    config = SearchConfig(subset_size=3, folds=10, seed=5,
+                          with_intercept=with_intercept, top_k=1000)
+    with cv_engine(engine):
+        result = enumerate_and_score(ds, config, progress=silent)
+    narrower = 0
+    for cand in result.ranked:
+        cols = [ds.index.position(e) for e in cand.subset]
+        usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
+        narrower += -(-len(usable) // 10) < -(-ds.n_algorithms // 10)
+        assert cand.cv_mse == cross_validated_mse(
+            ds.log_scores[np.ix_(usable, cols)], ds.targets[usable],
+            config.folds, config.seed, with_intercept)
+    assert narrower > 20

@@ -242,7 +242,7 @@ class TestMaskTables:
                               with_intercept=True, top_k=50)
         tables = _build_context(ds, config).tables
         # Ten games, the ones column and the target.
-        assert tables.train.shape[1] == 12
+        assert tables.held.shape[2] == 12
         assert tables.table_col[10] == 10 and tables.class_bit[10] == 0
         result = enumerate_and_score(ds, config, progress=silent)
         for cand in result.ranked:

@@ -198,15 +198,15 @@ rows = rng.integers(0, 63, size=(800, 10, 7))
 cols = np.broadcast_to(np.arange(8), (800, 8))
 for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    linreg._cv_mse_batched(Z, rows, cols)
+    linreg._cv_mse_tabled(*linreg._fold_tables(Z, rows, cols), None, None)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
 @pytest.mark.skipif(not _glibc(), reason="sets glibc malloc thresholds")
 def test_repeated_cv_blocks_fault_in_no_new_pages(tmp_path):
-    # The first block maps its ~19 MB of temporaries; with glibc's default
-    # thresholds every later block faults them in again (~4,400 faults).
+    # The first block maps its ~14 MB of temporaries; with glibc's default
+    # thresholds every later block faults them in again (~3,600 faults).
     proc = _run(["-c", REPEATED_BLOCKS], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     faults = [int(n) for n in proc.stdout.split()]
