@@ -12,20 +12,27 @@ hand-rolled square-root-free Cholesky (L D L') that is
 The same solver backs the unconstrained fit, the non-negative (active
 set) fit and k-fold cross-validation. Cross-validation downdates: with the
 target stored as the design's last column, one product over each fold's
-padded held-out rows gives that fold's Gram and right-hand side, every
+held-out rows gives that fold's Gram and right-hand side, every
 training system is the full system minus that, and all candidates x folds
 systems are solved in one batched call. One kernel does it all:
-``_fold_tables`` builds a stack of tables, each holding some rows'
-held-out values and training systems over some columns, and
-``_cv_mse_tabled`` scores candidates from them. A table serves either one
-candidate (``cross_validated_mse``, and subset searches with scattered
+``_fold_tables`` builds a stack of tables from usable-row masks, each
+holding its rows' held-out values and training systems over some columns,
+and ``_cv_mse_tabled`` scores candidates from them. A table serves either
+one candidate (``cross_validated_mse``, and subset searches with scattered
 gaps, one per candidate of a block) or every candidate sharing a
 usable-row mask (searches with leaderboard gaps, one per mask, over every
 column the search can fit). Both give bit-identical results.
+
+This module alone owns the fold layout. A table's n usable rows are dealt
+into folds by ``fold_assignment(n, folds, seed)``, so which ranks each
+fold holds out depends only on n; ``_fold_layout`` caches that per n, and
+fold sizes follow from n in closed form (``_fold_sizes``). Callers pass
+masks and never see ranks, slots, padding or fold sizes.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -296,50 +303,72 @@ def r_squared(model: LinearModel, X, t) -> float:
     return _r2(predictions, t)
 
 
+def _fold_sizes(rows, folds: int) -> np.ndarray:
+    """Rows in each fold, shape ``np.shape(rows) + (folds,)``: the first
+    ``rows % folds`` folds take one more."""
+    base, extra = np.divmod(np.asarray(rows, dtype=np.int64)[..., None], folds)
+    return base + (np.arange(folds) < extra)
+
+
 def fold_assignment(rows: int, folds: int, seed: int) -> np.ndarray:
     """Deterministic fold id per row.
 
     Rows are shuffled by a PCG64 permutation seeded with ``seed`` and cut
     into ``folds`` contiguous chunks; the first ``rows % folds`` chunks take
-    the extra row. The returned array maps original row index -> fold id.
+    the extra row (``_fold_sizes``). The returned array maps original row
+    index -> fold id.
     """
     perm = np.random.default_rng(seed).permutation(rows)
-    base, extra = divmod(rows, folds)
-    sizes = np.full(folds, base, dtype=np.int64)
-    sizes[:extra] += 1
     fold_of_row = np.empty(rows, dtype=np.int64)
-    fold_of_row[perm] = np.repeat(np.arange(folds), sizes)
+    fold_of_row[perm] = np.repeat(np.arange(folds), _fold_sizes(rows, folds))
     return fold_of_row
 
 
-def fold_slots(rows: int, folds: int, seed: int, width: int,
-               pad: int) -> np.ndarray:
-    """Row indices held out by each fold of ``fold_assignment(rows, folds,
-    seed)``.
-
-    Returns a (folds, width) int64 array whose row f lists the rows of fold
-    f in ascending order, then ``pad`` up to ``width``, which must be at
-    least ceil(rows / folds).
-    """
+@functools.cache
+def _fold_layout(rows: int, folds: int, seed: int, R: int) -> np.ndarray:
+    """Read-only (folds, ceil(R / folds)) array whose row f lists the ranks
+    that fold f of ``fold_assignment(rows, folds, seed)`` holds out,
+    ascending, then the padding rank R."""
     fold_of_row = fold_assignment(rows, folds, seed)
-    slots = np.full((folds, width), pad, dtype=np.int64)
+    layout = np.full((folds, -(-R // folds)), R, dtype=np.int64)
     for f in range(folds):
         members = np.flatnonzero(fold_of_row == f)
-        slots[f, :len(members)] = members
-    return slots
+        layout[f, :len(members)] = members
+    layout.flags.writeable = False
+    return layout
 
 
-def _fold_tables(Z: np.ndarray, rows: np.ndarray, cols: np.ndarray
+def _held_out_rows(usable: np.ndarray, n_rows: np.ndarray, folds: int,
+                   seed: int) -> np.ndarray:
+    """(M, F, ceil(R / F)) held-out rows of each usable-row mask in
+    ``usable`` (M, R) with ``n_rows`` (M,) usable rows, padded with R.
+
+    A mask's i-th usable row has rank i, so its folds are those of
+    ``fold_assignment`` over its usable rows alone.
+    """
+    M, R = usable.shape
+    row_of_rank = np.empty((M, R + 1), dtype=np.int64)
+    row_of_rank[:, :R] = np.argsort(~usable, axis=1, kind="stable")
+    row_of_rank[:, R] = R
+    counts, which = np.unique(n_rows, return_inverse=True)
+    ranks = np.stack([_fold_layout(int(n), folds, seed, R)
+                      for n in counts])[which]            # (M, F, S)
+    return np.take_along_axis(
+        row_of_rank, ranks.reshape(M, -1), axis=1).reshape(ranks.shape)
+
+
+def _fold_tables(Z: np.ndarray, usable: np.ndarray, cols: np.ndarray,
+                 folds: int, seed: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Held-out values and downdated training systems for ``_cv_mse_tabled``.
 
     Parameters
     ----------
-    Z : ndarray, shape (R + 1, ·)
-        Every row and column any table may use, targets included; the last
-        row is all zeros and stands in for padding.
-    rows : ndarray, shape (M, F, S)
-        Per table and fold, the held-out rows, padded with R.
+    Z : ndarray, shape (R, ·)
+        Every row and column any table may use, targets included.
+    usable : ndarray of bool, shape (M, R)
+        Per table, the rows it is built from. Each table deals its own
+        usable rows into ``folds`` folds with ``fold_assignment``.
     cols : ndarray, shape (K,) or (M, K)
         The columns of ``Z`` every table, or each table, holds, target
         column last.
@@ -348,39 +377,45 @@ def _fold_tables(Z: np.ndarray, rows: np.ndarray, cols: np.ndarray
     -------
     held : ndarray, shape (S, M, K, F)
         Per held-out slot, table and column, each fold's held-out value,
-        padded with 0.
+        padded with 0; S = ceil(R / F).
     train : ndarray, shape (M, K - 1, K, F)
         Per table, the training systems [G | b] of every fold: the product
         X'[X | t] over the table's rows minus the held-out fold's. It is a
         view laid out in memory as (M, F, K - 1, K), which suits own
         tables; tables looked up by mask must be made contiguous first,
         so that each entry's F folds form one run.
-    fold_sizes : ndarray, shape (M, F)
-        Held-out rows per fold.
+    n_rows : ndarray, shape (M,)
+        Usable rows per table.
 
     One product X'[X | t] over each fold's held-out rows gives that fold's
     Gram and right-hand side together, and every training system is their
-    sum over folds minus the fold's own. Padding rows contribute exact
-    zeros, so a table depends neither on the others in the stack nor, as
-    the tests check, on the padded width.
+    sum over folds minus the fold's own. Held-out slots past a fold's last
+    row read an appended all-zero row and contribute exact zeros, so a
+    table depends neither on the others in the stack nor, as the tests
+    check, on the padded width.
     """
+    n_rows = usable.sum(axis=1)
+    rows = _held_out_rows(usable, n_rows, folds, seed)
+    Z = np.vstack([Z, np.zeros((1, Z.shape[1]))])
     K = np.shape(cols)[-1]
     H = np.take(Z.ravel(), rows[..., None] * Z.shape[1]
                 + np.reshape(cols, (-1, 1, 1, K)))        # (M, F, S, K)
     G = np.swapaxes(H[..., :-1], -1, -2) @ H              # (M, F, K - 1, K)
     train = np.moveaxis(G.sum(axis=1, keepdims=True) - G, 1, -1)
     held = np.ascontiguousarray(np.transpose(H, (2, 0, 3, 1)))
-    return held, train, (rows != Z.shape[0] - 1).sum(axis=-1)
+    return held, train, n_rows
 
 
 def _cv_mse_tabled(held: np.ndarray, train: np.ndarray,
-                   fold_sizes: np.ndarray, mask_ids: np.ndarray | None,
+                   n_rows: np.ndarray, mask_ids: np.ndarray | None,
                    cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """k-fold CV of a stack of candidates from ``_fold_tables``.
 
     ``mask_ids`` (N,) picks each candidate's table and ``cols`` (N, C + 1)
     its table columns, target last. With both None, table i is candidate
     i's own, holding exactly the columns it fits, then its target.
+    ``n_rows`` holds each table's usable rows, from which its fold sizes
+    follow (``_fold_sizes``).
 
     Returns
     -------
@@ -411,7 +446,7 @@ def _cv_mse_tabled(held: np.ndarray, train: np.ndarray,
                               (0, 1), (-2, -1))
         runs = held.reshape(len(held), M * K, F)
         columns = (np.take(runs, run, axis=1) for run in mask_ids * K + both)
-        fold_sizes = fold_sizes[mask_ids]
+        n_rows = n_rows[mask_ids]
     beta, bad = _chol_solve_batched(systems)
     coef = np.moveaxis(beta, -1, 0)                       # (C, N, F)
     columns = iter(columns)
@@ -419,6 +454,7 @@ def _cv_mse_tabled(held: np.ndarray, train: np.ndarray,
     for c in coef[1:]:
         residual += next(columns) * c
     residual -= next(columns)
+    fold_sizes = _fold_sizes(n_rows, train.shape[-1])     # (N, F)
     cv = ((residual ** 2).sum(axis=0) / fold_sizes).mean(axis=-1)
     return cv, bad
 
@@ -441,15 +477,12 @@ def cross_validated_mse(X, t, folds: int, seed: int,
     rows, n_envs = X.shape
     if rows < folds:
         raise ValidationError(f"need at least {folds} rows for {folds}-fold CV")
-    design = np.zeros((rows + 1, n_envs + int(with_intercept) + 1))
-    design[:rows, :n_envs] = X
-    if with_intercept:
-        design[:rows, -2] = 1.0
-    design[:rows, -1] = t
-    slots = fold_slots(rows, folds, seed, -(-rows // folds), pad=rows)
-    cv, bad = _cv_mse_tabled(*_fold_tables(design, slots[None],
-                                           np.arange(design.shape[1])),
-                             None, None)
+    design = np.ones((rows, n_envs + int(with_intercept) + 1))
+    design[:, :n_envs] = X
+    design[:, -1] = t
+    cv, bad = _cv_mse_tabled(*_fold_tables(
+        design, np.ones((1, rows), dtype=bool), np.arange(design.shape[1]),
+        folds, seed), None, None)
     bad_folds = np.flatnonzero(bad[0] != -1)
     if len(bad_folds):
         raise SingularMatrixError(_column_name(

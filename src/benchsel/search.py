@@ -17,10 +17,12 @@ of two kinds of table:
   Leaderboard gaps (whole games missing for some algorithms) leave a few
   classes and thousands of candidates per key.
 * Per candidate, when the tables would not fit, as with scattered gaps,
-  where nearly every game is its own class. A per-search slot table,
-  indexed by the number of usable algorithms, lists each fold's held-out
-  usable ranks, so a block gathers every candidate's held-out rows and
-  builds one table per candidate holding just its columns.
+  where nearly every game is its own class. A block hands the kernel
+  every candidate's usable-row mask and builds one table per candidate
+  holding just its columns.
+
+Either way the search hands ``linreg`` usable-row masks; how their rows
+are dealt into folds is decided there alone.
 
 Both run the same arithmetic, so they give bit-identical cv_mse. A
 candidate's result does not depend on the block it lands in, and the
@@ -61,7 +63,6 @@ from .linreg import (
     _cv_mse_tabled,
     _fold_tables,
     fit_ols,
-    fold_slots,
 )
 
 MAX_ENUMERATION = 1 << 50
@@ -218,16 +219,14 @@ class _MaskTables:
     table_col: np.ndarray  # (n_env + 2,) column of X -> table column
     held: np.ndarray       # (S, M, K, F) see ``linreg._fold_tables``
     train: np.ndarray      # (M, K - 1, K, F)
-    fold_sizes: np.ndarray  # (M, F)
 
 
 @dataclass
 class _SearchContext:
     """Everything a worker needs to score a rank interval; fully picklable."""
 
-    X: np.ndarray          # (m + 1, n_env + 2) log scores, NaN->0, then a
-                           # ones column and the target column; all-zero
-                           # padding row last
+    X: np.ndarray          # (m, n_env + 2) log scores, NaN->0, then a
+                           # ones column and the target column
     avail: np.ndarray      # (m, n_env + 1) bool, ones column all-True
     env_names: tuple[str, ...]
     pool: np.ndarray       # eligible column indices, ascending
@@ -239,9 +238,6 @@ class _SearchContext:
     top_k: int
     min_rows: int
     comb: np.ndarray       # binomial table for the pool
-    slots: np.ndarray | None  # (m + 1, folds, ceil(m / folds)): by usable-
-                              # row count, each fold's usable ranks, padded
-                              # with m; None when ``tables`` are built
     tables: _MaskTables | None
 
     @property
@@ -249,26 +245,7 @@ class _SearchContext:
         return self.subset_size - len(self.must_cols)
 
 
-def _slot_table(m: int, folds: int, seed: int, counts=None) -> np.ndarray:
-    """(m + 1, folds, ceil(m / folds)): for each usable-row count in
-    ``counts`` (default: all) that is at least ``folds``, each fold's usable
-    ranks; every other entry is the padding rank m."""
-    table = np.full((m + 1, folds, -(-m // folds)), m, dtype=np.int64)
-    for rows in range(m + 1) if counts is None else set(counts.tolist()):
-        if rows >= folds:
-            table[rows] = fold_slots(rows, folds, seed, table.shape[2], pad=m)
-    return table
-
-
 def _block_size(ctx: _SearchContext) -> int:
-    override = os.environ.get("BENCHSEL_BLOCK_SIZE")
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            raise ValidationError(
-                f"BENCHSEL_BLOCK_SIZE must be an integer, got {override!r}"
-            ) from None
     m = ctx.avail.shape[0]
     cols = ctx.subset_size + int(ctx.with_intercept)
     # Doubles a candidate takes in the block's largest arrays: its held-out
@@ -314,11 +291,10 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     fit_cols = fit_cols[keep]
     n_usable = n_usable[keep]
     if tables is None:
-        rows = _held_out_rows(ctx.slots, usable[keep], n_usable)
-        cv, bad = _cv_mse_tabled(*_fold_tables(ctx.X, rows, fit_cols),
-                                 None, None)
+        cv, bad = _cv_mse_tabled(*_fold_tables(
+            ctx.X, usable[keep], fit_cols, ctx.folds, ctx.seed), None, None)
     else:
-        cv, bad = _cv_mse_tabled(tables.held, tables.train, tables.fold_sizes,
+        cv, bad = _cv_mse_tabled(tables.held, tables.train, tables.n_usable,
                                  mask_id[keep], tables.table_col[fit_cols])
 
     singular = (bad != -1).any(axis=1) | ~np.isfinite(cv)
@@ -340,22 +316,6 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
                           int(n_usable[cand])))
     finalists.sort(key=lambda e: (e[0], e[1]))
     return len(cv) - n_singular, n_skip_rows, n_singular, finalists[:ctx.top_k]
-
-
-def _held_out_rows(slots: np.ndarray, usable: np.ndarray,
-                   n_usable: np.ndarray) -> np.ndarray:
-    """(N, F, S) held-out rows of candidates or masks with usable rows
-    ``usable`` (N, m), padded with the all-zero row m; ``slots`` is a
-    ``_slot_table`` filled for every count in ``n_usable``."""
-    # Row index of each usable rank (usable rows first, ascending), with
-    # the padding rank m mapped to the padding row.
-    n, m = usable.shape
-    row_of_rank = np.empty((n, m + 1), dtype=np.int64)
-    row_of_rank[:, :m] = np.argsort(~usable, axis=1, kind="stable")
-    row_of_rank[:, m] = m
-    ranks = slots[n_usable]                           # (N, F, S)
-    return np.take_along_axis(
-        row_of_rank, ranks.reshape(n, -1), axis=1).reshape(ranks.shape)
 
 
 def _worker(ctx: _SearchContext, conn) -> None:
@@ -458,10 +418,9 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
             f"subset_size {config.subset_size} exceeds the {MAX_COLUMNS}"
             "-column solver limit")
     m, n = dataset.log_scores.shape
-    X = np.ones((m + 1, n + 2))
-    X[:m, :n] = np.nan_to_num(dataset.log_scores, nan=0.0)
-    X[:m, n + 1] = dataset.targets
-    X[m] = 0.0
+    X = np.ones((m, n + 2))
+    X[:, :n] = np.nan_to_num(dataset.log_scores, nan=0.0)
+    X[:, n + 1] = dataset.targets
     avail = np.ones((m, n + 1), dtype=bool)
     avail[:, :n] = dataset.present
 
@@ -494,8 +453,6 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
         top_k=config.top_k,
         min_rows=max(cols_fit + 2, config.folds),
         comb=_comb_table(len(pool), k_free),
-        slots=(_slot_table(m, config.folds, config.seed)
-               if tables is None else None),
         tables=tables,
     )
 
@@ -540,16 +497,13 @@ def _mask_tables(X: np.ndarray, avail: np.ndarray, pool: np.ndarray,
     absent = ~np.frombuffer(b"".join(classes), dtype=bool).reshape(-1, m)
     touched = (keys[:, None] >> np.arange(len(classes))) & 1 == 1
     masks = ~(touched[:, :, None] & absent).any(axis=1)
-    n_usable = masks.sum(axis=1)
-    slots = _slot_table(m, config.folds, config.seed, n_usable)
-    held, train, fold_sizes = _fold_tables(
-        X, _held_out_rows(slots, masks, n_usable), table_cols)
+    held, train, n_usable = _fold_tables(X, masks, table_cols, config.folds,
+                                         config.seed)
     table_col = np.full(n + 2, -1, dtype=np.int64)
     table_col[table_cols] = np.arange(len(table_cols))
     return _MaskTables(class_bit=class_bit, keys=keys,
                        n_usable=n_usable, table_col=table_col,
-                       held=held, train=np.ascontiguousarray(train),
-                       fold_sizes=fold_sizes)
+                       held=held, train=np.ascontiguousarray(train))
 
 
 def _refit(ctx: _SearchContext, cols: tuple[int, ...], cv_mse: float

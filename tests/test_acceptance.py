@@ -101,7 +101,7 @@ def test_criterion_2_synthetic_subset_recovery():
 
 
 def test_criterion_3_search_determinism_across_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("BENCHSEL_BLOCK_SIZE", "32")
+    monkeypatch.setattr("benchsel.search._block_size", lambda ctx: 32)
     rng = np.random.default_rng(3003)
     envs = [f"e{j:02d}" for j in range(12)]
     m = 30

@@ -210,19 +210,6 @@ class TestSearchCommand:
         assert err[0].startswith("usage: ")
         assert "argument --threads: invalid int value: 'x'" in err[-1]
 
-    def test_malformed_block_size_variable_exits_one_with_one_line(
-            self, toy_inputs, capsys, monkeypatch):
-        monkeypatch.setenv("BENCHSEL_BLOCK_SIZE", "abc")
-        scores, norms, tmp = toy_inputs
-        rc = run(["search", "--scores", scores, "--norms", norms,
-                  "--size", "2", "--min-games", "5", "--min-algos", "5",
-                  "--ignore-columns", "truecol", "--folds", "5",
-                  "--threads", "1", "--out", tmp / "out", "--quiet"])
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["benchsel: error: BENCHSEL_BLOCK_SIZE must be an "
-                       "integer, got 'abc'"]
-
     def test_auto_threads_records_workers_used(self, toy_inputs):
         scores, norms, tmp = toy_inputs
         out = tmp / "search-auto"
@@ -237,7 +224,7 @@ class TestSearchCommand:
 
     def test_thread_count_does_not_change_output(self, toy_inputs,
                                                  monkeypatch):
-        monkeypatch.setenv("BENCHSEL_BLOCK_SIZE", "8")
+        monkeypatch.setattr("benchsel.search._block_size", lambda ctx: 8)
         scores, norms, tmp = toy_inputs
         outputs = []
         for threads, name in ((1, "t1"), (6, "t6")):

@@ -3,7 +3,7 @@
 ``linreg._fold_tables`` builds held-out values and training systems and
 ``linreg._cv_mse_tabled`` scores candidates from them. A search builds
 one table per usable-row mask when the tables fit, and otherwise one
-table per candidate of each block from its gathered held-out rows;
+table per candidate of each block from the candidate's usable rows;
 ``cv_engine`` forces either one. Both run the same arithmetic, so they
 give the same ranking and bit-identical cv_mse, and so does
 ``cross_validated_mse`` on a candidate's usable rows.
@@ -12,7 +12,8 @@ give the same ranking and bit-identical cv_mse, and so does
 for every fold it rebuilds each candidate's Gram over all rows and its
 residuals over all rows. It is kept here as the reference. It sums in a
 different order, so the kernel agrees with it to a tolerance, not to the
-bit.
+bit. The fold layout the tables are built from is checked against
+``fold_assignment`` directly.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from benchsel import search
+from benchsel import linreg, search
 from benchsel.data import FilterConfig, PreparedDataset
 from benchsel.linreg import cross_validated_mse, fold_assignment
 from benchsel.search import (
@@ -217,7 +218,7 @@ def default_rankings():
 def test_bit_identical_across_block_sizes_and_workers(default_rankings, block,
                                                       threads, gaps, engine):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("BENCHSEL_BLOCK_SIZE", str(block))
+        mp.setattr(search, "_block_size", lambda ctx: block)
         ranking = _ranking(gaps, engine, threads=threads)
     assert ranking == default_rankings[gaps, engine]
 
@@ -299,3 +300,50 @@ def test_scalar_cv_equals_search_cv_mse(engine, with_intercept):
             ds.log_scores[np.ix_(usable, cols)], ds.targets[usable],
             config.folds, config.seed, with_intercept)
     assert narrower > 20
+
+
+# ---------------------------------------------------------------------------
+# The fold layout behind ``linreg._fold_tables``.
+
+def _reference_held_out_rows(usable, folds, seed):
+    """Per mask and fold, the held-out rows straight from ``fold_assignment``
+    over the mask's usable rows, ascending, padded with R."""
+    M, R = usable.shape
+    out = np.full((M, folds, -(-R // folds)), R, dtype=np.int64)
+    for i, mask in enumerate(usable):
+        rows = np.flatnonzero(mask)
+        fold_of_row = fold_assignment(len(rows), folds, seed)
+        for f in range(folds):
+            members = rows[fold_of_row == f]
+            out[i, f, :len(members)] = members
+    return out
+
+
+@pytest.mark.parametrize("folds", [2, 3, 10])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_held_out_rows_match_fold_assignment(folds, seed):
+    rng = np.random.default_rng(seed)
+    R = 37
+    usable = rng.random((40, R)) < rng.uniform(0.0, 1.0, size=(40, 1))
+    usable[0] = False
+    usable[1] = True
+    usable[2] = False                       # fewer usable rows than folds
+    usable[2, rng.choice(R, folds - 1, replace=False)] = True
+    got = linreg._held_out_rows(usable, usable.sum(axis=1), folds, seed)
+    assert np.array_equal(got, _reference_held_out_rows(usable, folds, seed))
+
+
+@pytest.mark.parametrize("folds", [2, 3, 10, 23])
+def test_closed_form_fold_sizes_match_fold_assignment(folds):
+    sizes = linreg._fold_sizes(np.arange(131), folds)
+    for n in range(131):
+        expected = np.bincount(fold_assignment(n, folds, n), minlength=folds)
+        assert np.array_equal(sizes[n], expected)
+        assert np.array_equal(linreg._fold_sizes(n, folds), expected)
+
+
+def test_cached_fold_layout_is_read_only():
+    layout = linreg._fold_layout(25, 10, 0, 30)
+    assert linreg._fold_layout(25, 10, 0, 30) is layout
+    with pytest.raises(ValueError):
+        layout[0, 0] = 0

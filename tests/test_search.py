@@ -91,7 +91,7 @@ class TestEnumerateAndScore:
         assert [c.cv_mse for c in a.ranked] == [c.cv_mse for c in b.ranked]
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("BENCHSEL_BLOCK_SIZE", "16")
+        monkeypatch.setattr("benchsel.search._block_size", lambda ctx: 16)
         ds = make_dataset(m=40, n=11, seed=7, missing_fraction=0.1)
         config = SearchConfig(subset_size=3, folds=10, top_k=30)
         serial = enumerate_and_score(ds, config, threads=1, progress=silent)

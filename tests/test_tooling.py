@@ -1,7 +1,8 @@
 """The benchmark's tracer and the demo scripts keep working, the CLI
 starts without loading scipy or numpy.ma, name matching stays in the data
-module, score tables load without holding the file, and CV blocks reuse
-freed memory.
+module and the fold layout in linreg, the thread count is the only
+environment variable read, score tables load without holding the file,
+and CV blocks reuse freed memory.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
@@ -10,6 +11,7 @@ calling through those names silently empties its per-layer timings.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -81,6 +83,16 @@ def test_traced_search_solves_once_per_block(tmp_path):
                              tabled)
 
 
+# Runs bench/traced.py with search blocks of 64 candidates.
+TRACED_SEARCH = """
+import runpy, sys
+from benchsel import search
+search._block_size = lambda ctx: 64
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
 def _check_traced_search(work, scores, folds, tabled):
     from benchsel.cli import _load_dataset, build_parser
     from benchsel.search import SearchConfig, _build_context
@@ -97,8 +109,8 @@ def _check_traced_search(work, scores, folds, tabled):
 
     work.mkdir()
     spans_path = work / "spans.json"
-    proc = _run([ROOT / "bench" / "traced.py", spans_path, *argv],
-                cwd=work, BENCHSEL_BLOCK_SIZE="64")
+    proc = _run(["-c", TRACED_SEARCH, ROOT / "bench" / "traced.py",
+                 spans_path, *argv], cwd=work)
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(spans_path.read_text())
     blocks = [i for i, s in enumerate(spans)
@@ -147,12 +159,32 @@ def test_loading_and_preparing_leaves_numpy_ma_unloaded(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def _sources():
+    return {p.relative_to(ROOT / "src").as_posix(): p.read_text(
+        encoding="utf-8") for p in (ROOT / "src" / "benchsel").rglob("*.py")}
+
+
 def test_canonical_key_only_in_data_module():
     # Name matching is decided in one place: data.EnvironmentIndex.
-    users = sorted(p.relative_to(ROOT / "src").as_posix()
-                   for p in (ROOT / "src" / "benchsel").rglob("*.py")
-                   if "canonical_key" in p.read_text(encoding="utf-8"))
+    users = sorted(p for p, text in _sources().items()
+                   if "canonical_key" in text)
     assert users == ["benchsel/__init__.py", "benchsel/data.py"]
+
+
+def test_fold_layout_only_in_linreg_module():
+    # How rows are dealt into folds is decided in one place: linreg.
+    layout = re.compile(
+        r"\b(fold_assignment|_fold_layout|_fold_sizes|_held_out_rows)\b")
+    users = sorted(p for p, text in _sources().items() if layout.search(text))
+    assert users == ["benchsel/linreg.py"]
+
+
+def test_only_environment_variable_read_is_the_thread_count():
+    reads = sorted(
+        (path, m.group(1)) for path, text in _sources().items()
+        for m in re.finditer(r"\b(?:environ|getenv)\b(?:\.get)?\W*(\w*)",
+                             text))
+    assert reads == [("benchsel/cli.py", "BENCHSEL_THREADS")]
 
 
 def test_score_table_ingest_does_not_hold_the_file(tmp_path):
@@ -193,12 +225,13 @@ import numpy as np
 from benchsel import cli, linreg
 cli._retain_freed_memory()
 rng = np.random.default_rng(0)
-Z = np.vstack([rng.normal(size=(62, 8)), np.zeros((1, 8))])
-rows = rng.integers(0, 63, size=(800, 10, 7))
+Z = rng.normal(size=(62, 8))
+usable = rng.random((800, 62)) < 0.9
 cols = np.broadcast_to(np.arange(8), (800, 8))
 for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    linreg._cv_mse_tabled(*linreg._fold_tables(Z, rows, cols), None, None)
+    linreg._cv_mse_tabled(*linreg._fold_tables(Z, usable, cols, 10, 0),
+                          None, None)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
