@@ -551,19 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _retain_freed_memory() -> None:
-    """Keep freed memory mapped (glibc): a search block frees ~10 MB of numpy
-    temporaries, and faulting them in again cost a third of a job's CPU."""
-    import ctypes
-    libc = ctypes.CDLL(None)
-    if hasattr(libc, "gnu_get_libc_version"):  # forked workers inherit it
-        libc.mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _retain_freed_memory()
     command = " ".join(filter(None, (args.command,
                                      getattr(args, "analysis", None))))
     try:

@@ -18,10 +18,10 @@ systems are solved in one batched call. One kernel does it all:
 ``_fold_tables`` builds a stack of tables from usable-row masks, each
 holding its rows' held-out values and training systems over some columns,
 and ``_cv_mse_tabled`` scores candidates from them. A table serves either
-one candidate (``cross_validated_mse``, and subset searches with scattered
-gaps, one per candidate of a block) or every candidate sharing a
-usable-row mask (searches with leaderboard gaps, one per mask, over every
-column the search can fit). Both give bit-identical results.
+one candidate (``cross_validated_mse``, and a search's candidates with
+few others on their usable-row mask) or every candidate of a search
+block sharing a mask (a table over every column the search can fit).
+Both give bit-identical results.
 
 This module alone owns the fold layout. A table's n usable rows are dealt
 into folds by ``fold_assignment(n, folds, seed)``, so which ranks each

@@ -4,30 +4,18 @@ Candidate subsets are enumerated in colexicographic order through the
 combinatorial number system, so a block of candidates is fully determined
 by a rank interval [start, stop). Workers receive rank intervals, unrank
 them to index arrays, and score a whole block at once with the one CV
-kernel, ``linreg._fold_tables`` and ``linreg._cv_mse_tabled``, fed by one
-of two kinds of table:
+kernel, ``linreg._fold_tables`` and ``linreg._cv_mse_tabled``.
 
-* Per mask. Fittable columns whose availability is identical form one
-  class, so a candidate's usable rows depend only on the set of classes
-  it touches, encoded as a bit key. When tables for every reachable key
-  fit in ``WORKING_SET_DOUBLES``, the search builds them once: per key,
-  the held-out values of each fold and each fold's training system over
-  every fittable column. A block then looks up each candidate's key and
-  gathers its training systems and held-out values from the tables.
-  Leaderboard gaps (whole games missing for some algorithms) leave a few
-  classes and thousands of candidates per key.
-* Per candidate, when the tables would not fit, as with scattered gaps,
-  where nearly every game is its own class. A block hands the kernel
-  every candidate's usable-row mask and builds one table per candidate
-  holding just its columns.
-
-Either way the search hands ``linreg`` usable-row masks; how their rows
-are dealt into folds is decided there alone.
-
-Both run the same arithmetic, so they give bit-identical cv_mse. A
-candidate's result does not depend on the block it lands in, and the
-final merge uses the total order (cv_mse, sorted environment names), so
-the ranking is bit-identical whatever the worker count or block size.
+A block groups its candidates by usable-row mask, the AND of their
+columns' packed availability. A group whose own tables would outweigh one
+table over every fittable column, as is common with leaderboard gaps
+(whole games missing for some algorithms), is scored from that shared
+table, which each worker caches by mask; every other candidate gets a
+table of just its own columns. ``linreg`` alone decides how a mask's rows
+are dealt into folds. Both kinds of table give bit-identical cv_mse, so a
+candidate's result does not depend on its block, and the final merge
+uses the total order (cv_mse, sorted environment names): the ranking is
+bit-identical whatever the worker count or block size.
 
 Per subset, any algorithm missing one of the required scores is dropped
 for that candidate only. Candidates left with fewer usable algorithms
@@ -37,7 +25,6 @@ needs) are skipped and counted, never silently dropped.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import multiprocessing
@@ -68,11 +55,12 @@ from .linreg import (
 MAX_ENUMERATION = 1 << 50
 PIPELINE_MIN_ENVIRONMENTS = 15
 PROGRESS_STRIDE = 1_000_000
-# Doubles a search block's largest arrays may take, and the per-search
-# fold tables too: 450k (3.6 MB) scored fastest at 3, 5 and 10 columns on
-# a Xeon with 2 MiB of L2 per core; larger blocks push the Cholesky sweeps
-# out to L3.
+# Doubles a search block's largest arrays may take: 450k (3.6 MB) scored
+# fastest at 3, 5 and 10 columns on a Xeon with 2 MiB of L2 per core;
+# larger blocks push the Cholesky sweeps out to L3.
 WORKING_SET_DOUBLES = 450_000
+# Doubles of shared fold tables one process keeps between blocks (32 MB).
+TABLE_CACHE_DOUBLES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -203,34 +191,18 @@ def _unrank_colex(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
 # Block scoring engine.
 
 @dataclass
-class _MaskTables:
-    """Fold tables of every usable-row mask a search's candidates can have.
-
-    Fittable columns with identical availability form one class, and a
-    candidate's usable rows are those present in every class it touches,
-    so the set of classes, a bit key, names its mask.
-    """
-
-    class_bit: np.ndarray  # (n_env + 2,) int64: bit of each column's class;
-                           # 0 for a class with every row present, for the
-                           # ones and target columns and excluded columns
-    keys: np.ndarray       # (M,) every reachable key, ascending
-    n_usable: np.ndarray   # (M,) usable rows per key
-    table_col: np.ndarray  # (n_env + 2,) column of X -> table column
-    held: np.ndarray       # (S, M, K, F) see ``linreg._fold_tables``
-    train: np.ndarray      # (M, K - 1, K, F)
-
-
-@dataclass
 class _SearchContext:
     """Everything a worker needs to score a rank interval; fully picklable."""
 
     X: np.ndarray          # (m, n_env + 2) log scores, NaN->0, then a
                            # ones column and the target column
-    avail: np.ndarray      # (m, n_env + 1) bool, ones column all-True
+    avail: np.ndarray      # (m, n_env) bool, the dataset's ``present``
+    packed: np.ndarray     # (n_env, ceil(m / 64)) uint64, bit i: row i
     env_names: tuple[str, ...]
     pool: np.ndarray       # eligible column indices, ascending
     must_cols: np.ndarray  # forced column indices
+    table_cols: np.ndarray  # a shared table's columns, target last
+    table_col: np.ndarray  # (n_env + 2,) column of X -> table column
     subset_size: int
     with_intercept: bool
     folds: int
@@ -238,7 +210,7 @@ class _SearchContext:
     top_k: int
     min_rows: int
     comb: np.ndarray       # binomial table for the pool
-    tables: _MaskTables | None
+    table_cache: dict = field(default_factory=dict)  # see _shared_tables
 
     @property
     def k_free(self) -> int:
@@ -254,8 +226,48 @@ def _block_size(ctx: _SearchContext) -> int:
     return int(max(256, min(32768, WORKING_SET_DOUBLES // per_candidate)))
 
 
+def _shares_table(count: np.ndarray, cols: int, table_cols: int) -> np.ndarray:
+    """Whether ``count`` candidates fitting ``cols`` columns on one mask
+    would hold more doubles in their own training systems than one shared
+    table over ``table_cols`` columns holds."""
+    return count * cols * (cols + 1) > (table_cols - 1) * table_cols
+
+
+def _shared_tables(ctx: _SearchContext, keys: np.ndarray,
+                   usable: np.ndarray):
+    """Stacked fold tables over ``ctx.table_cols``, table i for mask
+    ``usable[i]`` (packed: ``keys[i]``), as ``linreg._fold_tables`` returns
+    them. ``ctx.table_cache`` maps packed masks to the tables this process
+    has built, up to ``TABLE_CACHE_DOUBLES`` doubles in all."""
+    cache = ctx.table_cache
+    keys = [key.tobytes() for key in keys]
+    tables = {key: cache[key] for key in keys if key in cache}
+    new = [i for i, key in enumerate(keys) if key not in tables]
+    if new:
+        held, train, n_rows = _fold_tables(ctx.X, usable[new], ctx.table_cols,
+                                           ctx.folds, ctx.seed)
+        size = (held.size + train.size) // len(new)  # doubles per table
+        room = TABLE_CACHE_DOUBLES // size - len(cache)
+        for j, i in enumerate(new):
+            # Copies own their memory, and each entry's folds lie in one
+            # run of ``train``, as lookups need.
+            tables[keys[i]] = (held[:, j:j + 1].copy(), train[j:j + 1].copy(),
+                               n_rows[j:j + 1])
+            if j < room:
+                cache[keys[i]] = tables[keys[i]]
+    held, train, n_rows = zip(*(tables[key] for key in keys))
+    return (np.concatenate(held, axis=1), np.concatenate(train),
+            np.concatenate(n_rows))
+
+
 def _score_block(ctx: _SearchContext, start: int, stop: int):
     """Score candidates with colex ranks in [start, stop).
+
+    Candidates are grouped by usable-row mask. A group large enough by
+    ``_shares_table``, or whose mask's table is cached already, is scored
+    from a table over every fittable column (``_shared_tables``); every
+    other candidate from a table of its own columns. Both kinds give
+    bit-identical cv_mse.
 
     Returns (n_scored, n_skipped_rows, n_skipped_singular, finalists) where
     finalists holds at most top_k entries of
@@ -273,15 +285,21 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     fit_cols = np.concatenate(
         [env_cols, np.broadcast_to(tail, (n_block, len(tail)))], axis=1)
 
-    tables = ctx.tables
-    if tables is None:
-        usable = ctx.avail[:, fit_cols[:, :-1]].all(axis=2).T  # (n_block, m)
-        n_usable = usable.sum(axis=1)
-    else:
-        mask_id = np.searchsorted(tables.keys, np.bitwise_or.reduce(
-            tables.class_bit[env_cols], axis=1))
-        n_usable = tables.n_usable[mask_id]
-    viable = n_usable >= ctx.min_rows
+    # A candidate's usable rows are those present in every column it fits;
+    # candidates are grouped by that mask, packed into words.
+    words = np.bitwise_and.reduce(ctx.packed[env_cols], axis=1)
+    order = np.lexsort(words.T)
+    words = words[order]
+    first = np.ones(n_block, dtype=bool)
+    np.any(words[1:] != words[:-1], axis=1, out=first[1:])
+    keys = words[first]
+    group = np.empty(n_block, dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    usable = np.unpackbits(keys.view(np.uint8), axis=1,
+                           count=ctx.avail.shape[0],
+                           bitorder="little").view(bool)
+    n_usable = usable.sum(axis=1)
+    viable = n_usable[group] >= ctx.min_rows
     n_skip_rows = int(n_block - viable.sum())
     if not viable.any():
         return 0, n_skip_rows, 0, []
@@ -289,13 +307,24 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     keep = np.flatnonzero(viable)
     env_cols = env_cols[keep]
     fit_cols = fit_cols[keep]
-    n_usable = n_usable[keep]
-    if tables is None:
-        cv, bad = _cv_mse_tabled(*_fold_tables(
-            ctx.X, usable[keep], fit_cols, ctx.folds, ctx.seed), None, None)
-    else:
-        cv, bad = _cv_mse_tabled(tables.held, tables.train, tables.n_usable,
-                                 mask_id[keep], tables.table_col[fit_cols])
+    group = group[keep]
+    shared = _shares_table(np.bincount(group, minlength=len(keys)),
+                           fit_cols.shape[1] - 1, len(ctx.table_cols))
+    if ctx.table_cache:
+        shared |= [key.tobytes() in ctx.table_cache for key in keys]
+    on_shared = shared[group]
+    cv = np.empty(len(keep))
+    bad = np.empty((len(keep), ctx.folds), dtype=np.int64)
+    if on_shared.any():
+        table = np.cumsum(shared) - 1
+        cv[on_shared], bad[on_shared] = _cv_mse_tabled(
+            *_shared_tables(ctx, keys[shared], usable[shared]),
+            table[group[on_shared]], ctx.table_col[fit_cols[on_shared]])
+    own = ~on_shared
+    if own.any():
+        cv[own], bad[own] = _cv_mse_tabled(*_fold_tables(
+            ctx.X, usable[group[own]], fit_cols[own], ctx.folds, ctx.seed),
+            None, None)
 
     singular = (bad != -1).any(axis=1) | ~np.isfinite(cv)
     n_singular = int(singular.sum())
@@ -313,7 +342,7 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
         names = tuple(ctx.env_names[c] for c in env_cols[cand])
         finalists.append((float(cv_value), tuple(sorted(names)),
                           tuple(int(c) for c in env_cols[cand]),
-                          int(n_usable[cand])))
+                          int(n_usable[group[cand]])))
     finalists.sort(key=lambda e: (e[0], e[1]))
     return len(cv) - n_singular, n_skip_rows, n_singular, finalists[:ctx.top_k]
 
@@ -421,8 +450,6 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
     X = np.ones((m, n + 2))
     X[:, :n] = np.nan_to_num(dataset.log_scores, nan=0.0)
     X[:, n + 1] = dataset.targets
-    avail = np.ones((m, n + 1), dtype=bool)
-    avail[:, :n] = dataset.present
 
     must_cols = np.array(sorted(map(dataset.index.position,
                                     config.must_include)), dtype=np.int64)
@@ -439,13 +466,22 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
         raise ValidationError("search space too large to enumerate exhaustively")
 
     cols_fit = config.subset_size + int(config.with_intercept)
-    tables = _mask_tables(X, avail, pool, must_cols, k_free, config)
+    table_cols = np.concatenate([np.sort(np.concatenate([pool, must_cols])),
+                                 [n] if config.with_intercept else [],
+                                 [n + 1]]).astype(np.int64)
+    table_col = np.full(n + 2, -1, dtype=np.int64)
+    table_col[table_cols] = np.arange(len(table_cols))
+    packed = np.packbits(np.pad(dataset.present, ((0, -m % 64), (0, 0))),
+                         axis=0, bitorder="little")
     return _SearchContext(
         X=X,
-        avail=avail,
+        avail=dataset.present,
+        packed=np.ascontiguousarray(packed.T).view(np.uint64),
         env_names=dataset.environment_ids,
         pool=pool,
         must_cols=must_cols,
+        table_cols=table_cols,
+        table_col=table_col,
         subset_size=config.subset_size,
         with_intercept=config.with_intercept,
         folds=config.folds,
@@ -453,57 +489,17 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
         top_k=config.top_k,
         min_rows=max(cols_fit + 2, config.folds),
         comb=_comb_table(len(pool), k_free),
-        tables=tables,
     )
 
 
-def _mask_tables(X: np.ndarray, avail: np.ndarray, pool: np.ndarray,
-                 must_cols: np.ndarray, k_free: int, config: SearchConfig
-                 ) -> _MaskTables | None:
-    """Fold tables for every mask the search can reach, or None when they
-    would not fit in ``WORKING_SET_DOUBLES``."""
-    m, n = avail.shape[0], X.shape[1] - 2
-    fittable = np.sort(np.concatenate([pool, must_cols]))
-    # A class with every row present restricts no mask and gets no bit.
-    classes: dict[bytes, int] = {}
-    class_bit = np.zeros(n + 2, dtype=np.int64)
-    for j in fittable:
-        if not avail[:, j].all():
-            c = classes.setdefault(avail[:, j].tobytes(), len(classes))
-            if c > 62:
-                return None
-            class_bit[j] = 1 << c
-    table_cols = np.concatenate([fittable, [n] if config.with_intercept
-                                 else [], [n + 1]]).astype(np.int64)
-    width = -(-m // config.folds)
-    per_key = config.folds * len(table_cols) * (len(table_cols) + width)
-    most = WORKING_SET_DOUBLES // per_key
-
-    # A candidate touches every class of its forced columns and a set of
-    # at most k_free pool classes holding at least k_free pool columns.
-    must_key = int(np.bitwise_or.reduce(class_bit[must_cols]))
-    count = collections.Counter(class_bit[pool].tolist())
-    keys = {must_key} if k_free == 0 else set()
-    for size in range(min(k_free, len(count)), 0, -1):
-        for combo in itertools.combinations(sorted(count), size):
-            if sum(count[bit] for bit in combo) >= k_free:
-                keys.add(must_key | sum(combo))  # distinct bits
-                if len(keys) > most:
-                    return None
-    if len(keys) > most:
-        return None
-
-    keys = np.array(sorted(keys), dtype=np.int64)
-    absent = ~np.frombuffer(b"".join(classes), dtype=bool).reshape(-1, m)
-    touched = (keys[:, None] >> np.arange(len(classes))) & 1 == 1
-    masks = ~(touched[:, :, None] & absent).any(axis=1)
-    held, train, n_usable = _fold_tables(X, masks, table_cols, config.folds,
-                                         config.seed)
-    table_col = np.full(n + 2, -1, dtype=np.int64)
-    table_col[table_cols] = np.arange(len(table_cols))
-    return _MaskTables(class_bit=class_bit, keys=keys,
-                       n_usable=n_usable, table_col=table_col,
-                       held=held, train=np.ascontiguousarray(train))
+def _retain_freed_memory() -> None:
+    """Keep freed memory mapped (glibc): a search block frees ~10 MB of numpy
+    temporaries, and faulting them in again cost a third of a job's CPU."""
+    import ctypes
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "gnu_get_libc_version"):  # forked workers inherit it
+        libc.mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
 def _refit(ctx: _SearchContext, cols: tuple[int, ...], cv_mse: float
@@ -524,6 +520,7 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
     with lexicographic environment-name tie-breaks. ``threads`` only
     controls how rank blocks are dealt out, never the result.
     """
+    _retain_freed_memory()
     ctx = _build_context(dataset, config)
     total = math.comb(len(ctx.pool), ctx.k_free)
     if progress is None:

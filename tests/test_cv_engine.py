@@ -1,12 +1,13 @@
 """The fold-downdate CV kernel against its references.
 
 ``linreg._fold_tables`` builds held-out values and training systems and
-``linreg._cv_mse_tabled`` scores candidates from them. A search builds
-one table per usable-row mask when the tables fit, and otherwise one
-table per candidate of each block from the candidate's usable rows;
-``cv_engine`` forces either one. Both run the same arithmetic, so they
-give the same ranking and bit-identical cv_mse, and so does
-``cross_validated_mse`` on a candidate's usable rows.
+``linreg._cv_mse_tabled`` scores candidates from them. A search block
+groups its candidates by usable-row mask and scores a large group from
+one shared table over every fittable column, and every other candidate
+from a table of its own columns; ``cv_engine`` forces either kind for
+every candidate. Both run the same arithmetic, so they give the same
+ranking and bit-identical cv_mse, and so does ``cross_validated_mse`` on a
+candidate's usable rows.
 
 ``per_fold_block_cv`` is the block engine that fold downdating replaced:
 for every fold it rebuilds each candidate's Gram over all rows and its
@@ -37,17 +38,21 @@ from benchsel.search import (
 )
 from conftest import cholesky_reference, lstsq_cv_mse, make_dataset, silent
 
+# Every candidate on a shared table, every candidate on its own table, and
+# the search's own choice per group.
 ENGINES = ("tables", "gather")
+ALL_ENGINES = (*ENGINES, "rule")
 
 
 @contextlib.contextmanager
 def cv_engine(name):
-    """Inside the ``with`` block, searches score from per-mask tables (the
-    default, where they fit) or from per-candidate tables of gathered
-    rows."""
+    """Inside the ``with`` block, searches score every candidate from a
+    shared per-mask table ("tables") or from a table of its own
+    ("gather"); with "rule", each group as ``_shares_table`` decides."""
     with pytest.MonkeyPatch.context() as mp:
-        if name == "gather":
-            mp.setattr(search, "_mask_tables", lambda *args: None)
+        if name in ENGINES:
+            mp.setattr(search, "_shares_table", lambda count, *_: np.full(
+                len(count), name == "tables"))
         yield
 
 
@@ -74,7 +79,7 @@ def per_fold_block_cv(ctx):
         ones_col = np.full((total, 1), X.shape[1] - 1)
         fit_cols = np.concatenate([env_cols, ones_col], axis=1)
 
-    usable = ctx.avail[:, fit_cols].all(axis=2)      # (m, N)
+    usable = ctx.avail[:, env_cols].all(axis=2)      # (m, N)
     n_usable = usable.sum(axis=0)
     keep = np.flatnonzero(n_usable >= ctx.min_rows)
     env_cols, fit_cols = env_cols[keep], fit_cols[keep]
@@ -119,7 +124,7 @@ def test_matches_per_fold_reference(seed, with_intercept):
     reference = per_fold_block_cv(_build_context(ds, config))
     expected = sorted((cv, key) for key, cv in reference.items()
                       if cv is not None)
-    for engine in ENGINES:
+    for engine in ALL_ENGINES:
         with cv_engine(engine):
             result = enumerate_and_score(ds, config, progress=silent)
         assert [tuple(sorted(c.subset)) for c in result.ranked] == \
@@ -144,7 +149,7 @@ def test_singular_verdicts_match_per_fold_reference(with_intercept):
     config = SearchConfig(subset_size=3, folds=10, seed=1,
                           with_intercept=with_intercept, top_k=1000)
     reference = per_fold_block_cv(_build_context(ds, config))
-    for engine in ENGINES:
+    for engine in ALL_ENGINES:
         with cv_engine(engine):
             scored = _scored(enumerate_and_score(ds, config, progress=silent))
         assert set(scored) == {k for k, cv in reference.items()
@@ -152,6 +157,32 @@ def test_singular_verdicts_match_per_fold_reference(with_intercept):
         assert len(scored) < len(reference)
         for key, cv in scored.items():
             assert cv == pytest.approx(reference[key], rel=1e-11)
+
+
+def test_masks_of_several_words_match_per_fold_reference():
+    # 150 algorithms, so each usable-row mask is packed into three words,
+    # with every gap past row 64: masks differ in their later words only.
+    ds = make_dataset(m=150, n=8, seed=46, signal={1: 0.6, 4: 0.3})
+    holes = np.random.default_rng(46).random(ds.log_scores.shape) < 0.15
+    holes[:64] = False
+    holes[:, 0] = False
+    ds = PreparedDataset(ds.algorithm_ids, ds.environment_ids,
+                         np.where(holes, np.nan, ds.log_scores), ds.targets,
+                         "median", FilterConfig(1, 1))
+    config = SearchConfig(subset_size=3, folds=10, seed=6, top_k=1000)
+    assert _build_context(ds, config).packed.shape == (8, 3)
+    reference = per_fold_block_cv(_build_context(ds, config))
+    for engine in ALL_ENGINES:
+        with cv_engine(engine):
+            result = enumerate_and_score(ds, config, progress=silent)
+        assert len(reference) == result.total_candidates
+        assert _scored(result).keys() == reference.keys()
+        for cand in result.ranked:
+            key = tuple(sorted(cand.subset))
+            assert cand.cv_mse == pytest.approx(reference[key], rel=1e-11)
+            cols = [ds.index.position(e) for e in cand.subset]
+            assert cand.n_algorithms_used == ds.present[:, cols].all(
+                axis=1).sum()
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -170,7 +201,7 @@ def test_unrank_colex_is_the_colex_bijection(n, data):
        missing=st.sampled_from([0.0, 0.05, 0.15]),
        gaps=st.sampled_from(["iid", "block"]),
        folds=st.integers(2, 10), size=st.integers(1, 3),
-       with_intercept=st.booleans(), engine=st.sampled_from(ENGINES))
+       with_intercept=st.booleans(), engine=st.sampled_from(ALL_ENGINES))
 def test_engine_matches_lstsq_oracle(seed, m, missing, gaps, folds, size,
                                      with_intercept, engine):
     ds = make_dataset(m=m, n=6, seed=seed, missing_fraction=missing,
@@ -188,10 +219,26 @@ def test_engine_matches_lstsq_oracle(seed, m, missing, gaps, folds, size,
         assert cand.cv_mse == pytest.approx(expected, rel=1e-9)
 
 
+def _with_scattered_gaps(ds, share, seed):
+    """``ds`` with about ``share`` of its scores blanked at random, column 0
+    and row 0 kept whole."""
+    holes = np.random.default_rng(seed).random(ds.log_scores.shape) < share
+    holes[:, 0] = False
+    holes[0, :] = False
+    return PreparedDataset(ds.algorithm_ids, ds.environment_ids,
+                           np.where(holes, np.nan, ds.log_scores),
+                           ds.targets, "median", FilterConfig(1, 1))
+
+
 _INVARIANCE_DATA = {
     "iid": make_dataset(m=40, n=9, seed=43, missing_fraction=0.12),
     "block": make_dataset(m=30, n=9, seed=43, missing_fraction=0.35,
                           gaps="block"),
+    # Block gaps leave large groups of candidates with one usable-row mask,
+    # and scattered ones split some of them up.
+    "mixed": _with_scattered_gaps(
+        make_dataset(m=36, n=9, seed=43, missing_fraction=0.35,
+                     gaps="block"), 0.02, 44),
 }
 _INVARIANCE_CONFIG = SearchConfig(subset_size=3, folds=10, seed=3, top_k=40)
 
@@ -207,14 +254,14 @@ def _ranking(gaps, engine, **kwargs):
 @pytest.fixture(scope="module")
 def default_rankings():
     return {(gaps, engine): _ranking(gaps, engine)
-            for gaps in _INVARIANCE_DATA for engine in ENGINES}
+            for gaps in _INVARIANCE_DATA for engine in ALL_ENGINES}
 
 
 @settings(max_examples=16, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(block=st.integers(1, 100), threads=st.sampled_from([1, 2]),
        gaps=st.sampled_from(sorted(_INVARIANCE_DATA)),
-       engine=st.sampled_from(ENGINES))
+       engine=st.sampled_from(ALL_ENGINES))
 def test_bit_identical_across_block_sizes_and_workers(default_rankings, block,
                                                       threads, gaps, engine):
     with pytest.MonkeyPatch.context() as mp:
@@ -223,11 +270,42 @@ def test_bit_identical_across_block_sizes_and_workers(default_rankings, block,
     assert ranking == default_rankings[gaps, engine]
 
 
+@pytest.mark.parametrize("gaps", sorted(_INVARIANCE_DATA))
+def test_bit_identical_across_engines_and_without_table_cache(
+        default_rankings, gaps):
+    # In blocks of 40, later blocks score small groups from tables that an
+    # earlier block cached. With no room in the cache, shared tables are
+    # built for each block, and those groups take tables of their own.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_block_size", lambda ctx: 40)
+        cached = _ranking(gaps, "rule")
+        mp.setattr(search, "TABLE_CACHE_DOUBLES", 0)
+        uncached = _ranking(gaps, "rule")
+    assert cached == uncached
+    for engine in ALL_ENGINES:
+        assert default_rankings[gaps, engine] == uncached
+
+
+def _kernel_calls(gaps):
+    """Per ``_cv_mse_tabled`` call of a default search, whether it scored
+    from shared tables."""
+    calls = []
+    kernel = search._cv_mse_tabled
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_cv_mse_tabled", lambda held, train, n_rows, ids,
+                   cols: calls.append(ids is not None)
+                   or kernel(held, train, n_rows, ids, cols))
+        _ranking(gaps, "rule")
+    return calls
+
+
 def test_invariance_data_builds_tables_and_skips_rows():
-    for ds in _INVARIANCE_DATA.values():
-        assert _build_context(ds, _INVARIANCE_CONFIG).tables is not None
-    skips = _ranking("block", "tables")[0]["skipped_insufficient_rows"]
-    assert skips > 0
+    # Each search is one block; the mixed data's scores some candidates
+    # from shared tables and the rest from their own.
+    assert sorted(_kernel_calls("mixed")) == [False, True]
+    for gaps in ("block", "mixed"):
+        skips = _ranking(gaps, "rule")[0]
+        assert skips["skipped_insufficient_rows"] > 0
 
 
 def _block_gap_dataset(duplicate=False):
@@ -244,14 +322,16 @@ def _block_gap_dataset(duplicate=False):
 
 
 def _both_engines(ds, config):
-    tables = _build_context(ds, config).tables
-    assert tables is not None
+    """The shared-table and own-table searches, after checking that the
+    rule's mix of the two ranks and skips exactly as they do."""
     results = {}
-    for engine in ENGINES:
+    for engine in ALL_ENGINES:
         with cv_engine(engine):
             results[engine] = enumerate_and_score(ds, config,
                                                   progress=silent)
-    return tables, results["tables"], results["gather"]
+    assert results["rule"].skip_stats == results["gather"].skip_stats
+    assert _listing(results["rule"]) == _listing(results["gather"])
+    return results["tables"], results["gather"]
 
 
 @pytest.mark.parametrize("with_intercept", [False, True],
@@ -259,7 +339,7 @@ def _both_engines(ds, config):
 def test_tables_match_gather_engine(with_intercept):
     config = SearchConfig(subset_size=4, folds=10, seed=5,
                           with_intercept=with_intercept, top_k=1000)
-    _, tabled, gathered = _both_engines(_block_gap_dataset(), config)
+    tabled, gathered = _both_engines(_block_gap_dataset(), config)
     assert tabled.skip_stats == gathered.skip_stats
     assert tabled.skipped_insufficient_rows > 0
     assert _listing(tabled) == _listing(gathered)
@@ -272,12 +352,29 @@ def test_tables_match_gather_engine_singular_verdicts(with_intercept):
     # break the tie by name the same way in both engines.
     config = SearchConfig(subset_size=3, folds=10, seed=5,
                           with_intercept=with_intercept, top_k=1000)
-    tables, tabled, gathered = _both_engines(
-        _block_gap_dataset(duplicate=True), config)
-    assert tables.class_bit[1] == tables.class_bit[9] != 0
+    ds = _block_gap_dataset(duplicate=True)
+    assert (ds.present[:, 1] == ds.present[:, 9]).all()
+    assert not ds.present[:, 1].all()
+    tabled, gathered = _both_engines(ds, config)
     assert tabled.skip_stats == gathered.skip_stats
     assert tabled.skipped_singular > 0
     assert _listing(tabled) == _listing(gathered)
+
+
+def _assert_scalar_cv(ds, result, with_intercept):
+    """Every ranked cv_mse is, to the bit, ``cross_validated_mse`` on the
+    candidate's usable rows; returns how many of those pad their folds
+    narrower than the search's tables do."""
+    config = result.config
+    narrower = 0
+    for cand in result.ranked:
+        cols = [ds.index.position(e) for e in cand.subset]
+        usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
+        narrower += -(-len(usable) // 10) < -(-ds.n_algorithms // 10)
+        assert cand.cv_mse == cross_validated_mse(
+            ds.log_scores[np.ix_(usable, cols)], ds.targets[usable],
+            config.folds, config.seed, with_intercept)
+    return narrower
 
 
 @pytest.mark.parametrize("with_intercept", [False, True],
@@ -291,15 +388,19 @@ def test_scalar_cv_equals_search_cv_mse(engine, with_intercept):
                           with_intercept=with_intercept, top_k=1000)
     with cv_engine(engine):
         result = enumerate_and_score(ds, config, progress=silent)
-    narrower = 0
-    for cand in result.ranked:
-        cols = [ds.index.position(e) for e in cand.subset]
-        usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
-        narrower += -(-len(usable) // 10) < -(-ds.n_algorithms // 10)
-        assert cand.cv_mse == cross_validated_mse(
-            ds.log_scores[np.ix_(usable, cols)], ds.targets[usable],
-            config.folds, config.seed, with_intercept)
-    assert narrower > 20
+    assert _assert_scalar_cv(ds, result, with_intercept) > 20
+
+
+@pytest.mark.parametrize("with_intercept", [False, True],
+                         ids=["no-intercept", "intercept"])
+def test_scalar_cv_equals_search_cv_mse_with_mixed_gaps(with_intercept):
+    # One block, scored partly from shared tables and partly from own ones.
+    ds = _INVARIANCE_DATA["mixed"]
+    config = SearchConfig(subset_size=3, folds=10, seed=5,
+                          with_intercept=with_intercept, top_k=1000)
+    result = enumerate_and_score(ds, config, progress=silent)
+    assert len(result.ranked) == result.scored
+    assert _assert_scalar_cv(ds, result, with_intercept) > 0
 
 
 # ---------------------------------------------------------------------------

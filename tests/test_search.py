@@ -9,9 +9,11 @@ from benchsel.data import FilterConfig, PreparedDataset
 from benchsel.errors import EmptySearchError, ValidationError
 from benchsel.formats import bank_from_dict, bank_to_dict, suite_to_dict
 from benchsel.search import (
-    WORKING_SET_DOUBLES,
+    TABLE_CACHE_DOUBLES,
     SearchConfig,
+    _block_size,
     _build_context,
+    _score_block,
     enumerate_and_score,
     nested_pipeline,
     per_game_models,
@@ -200,22 +202,42 @@ class TestEnumerateAndScore:
         assert calls == [100]  # C(10,3) = 120 crosses one stride of 100
 
 
+def _score_every_block(ctx):
+    """Score every block of ``ctx``'s search in this process; returns
+    ``ctx``, its table cache filled."""
+    total = math.comb(len(ctx.pool), ctx.k_free)
+    block = _block_size(ctx)
+    for start in range(0, total, block):
+        _score_block(ctx, start, min(start + block, total))
+    return ctx
+
+
 class TestMaskTables:
-    """Which searches build per-search fold tables, and what they hold."""
+    """Which searches build shared fold tables, and what they hold."""
 
     def test_block_gaps_build_tables(self):
         ds = make_dataset(m=62, n=30, seed=50, missing_fraction=0.1,
                           gaps="block")
-        tables = _build_context(ds, SearchConfig(subset_size=5)).tables
-        assert tables is not None
-        # Three gapped classes: every nonempty set of them is reachable,
-        # and so is the empty one (five games of the all-present class).
-        assert len(tables.keys) == 8
-        assert tables.held.size + tables.train.size <= WORKING_SET_DOUBLES
+        cache = _score_every_block(
+            _build_context(ds, SearchConfig(subset_size=5))).table_cache
+        # Three gapped classes: every set of them is a reachable mask.
+        assert 0 < len(cache) <= 8
+        for key, (held, train, n_rows) in cache.items():
+            mask = np.unpackbits(np.frombuffer(key, dtype=np.uint8),
+                                 count=62, bitorder="little")
+            assert n_rows.tolist() == [mask.sum()]
+            # 30 games and the target, 10 folds of at most 7 rows.
+            assert held.shape == (7, 1, 31, 10)
+            assert train.shape == (1, 30, 31, 10)
+        assert sum(h.size + t.size for h, t, _ in cache.values()) <= \
+               TABLE_CACHE_DOUBLES
 
     def test_iid_gaps_exceed_the_budget(self):
+        # Scattered gaps leave no group of candidates whose own tables
+        # would outweigh one over every game, so none is built.
         ds = make_dataset(m=62, n=30, seed=50, missing_fraction=0.1)
-        assert _build_context(ds, SearchConfig(subset_size=5)).tables is None
+        ctx = _build_context(ds, SearchConfig(subset_size=5))
+        assert _score_every_block(ctx).table_cache == {}
 
     def test_every_column_forced(self):
         ds = make_dataset(m=40, n=12, seed=51, missing_fraction=0.2,
@@ -223,14 +245,11 @@ class TestMaskTables:
         forced = ("env02", "env05", "env09")
         config = SearchConfig(subset_size=3, must_include=forced, folds=5,
                               seed=2)
-        tables = _build_context(ds, config).tables
-        assert tables is not None and len(tables.keys) == 1
         result = enumerate_and_score(ds, config, progress=silent)
         assert result.total_candidates == result.scored == 1
         cols = [1, 4, 8]
         usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
-        assert result.best.n_algorithms_used == len(usable) == \
-               tables.n_usable[0]
+        assert result.best.n_algorithms_used == len(usable)
         expected = lstsq_cv_mse(ds.log_scores[np.ix_(usable, cols)],
                                 ds.targets[usable], 5, 2)
         assert result.best.cv_mse == pytest.approx(expected, rel=1e-9)
@@ -240,10 +259,12 @@ class TestMaskTables:
                           gaps="block", signal={0: 0.4, 3: 0.6})
         config = SearchConfig(subset_size=2, folds=10, seed=4,
                               with_intercept=True, top_k=50)
-        tables = _build_context(ds, config).tables
+        ctx = _score_every_block(_build_context(ds, config))
         # Ten games, the ones column and the target.
-        assert tables.held.shape[2] == 12
-        assert tables.table_col[10] == 10 and tables.class_bit[10] == 0
+        assert ctx.table_cols.tolist() == list(range(12))
+        assert ctx.table_cache
+        for held, train, _ in ctx.table_cache.values():
+            assert held.shape[2] == 12 and train.shape[1:3] == (11, 12)
         result = enumerate_and_score(ds, config, progress=silent)
         for cand in result.ranked:
             cols = [ds.index.position(e) for e in cand.subset]

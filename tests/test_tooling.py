@@ -55,8 +55,8 @@ def test_traced_run_records_layer_spans(tmp_path):
 
 def _demo_with_scattered_gaps(path: Path) -> None:
     """The demo table with one score in ten blanked at random, so nearly
-    every game has its own availability and a search's fold tables would
-    not fit its working-set budget."""
+    every game has its own availability and few candidates share a
+    usable-row mask."""
     rng = np.random.default_rng(7)
     lines = Path(DEMO).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -72,15 +72,13 @@ def _demo_with_scattered_gaps(path: Path) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def test_traced_search_solves_once_per_block(tmp_path):
-    # The demo table's searches score from fold tables; the gapped copy's
-    # do not. 23 folds need 23 usable algorithms, which some candidates of
-    # the demo table lack, and 20 folds some of the gapped table's.
+def test_traced_search_solves_inside_every_block(tmp_path):
+    # 23 folds need 23 usable algorithms, which some candidates of the demo
+    # table lack, and 20 folds some of the gapped table's.
     gapped = tmp_path / "gapped.csv"
     _demo_with_scattered_gaps(gapped)
-    for scores, folds, tabled in ((DEMO, 23, True), (gapped, 20, False)):
-        _check_traced_search(tmp_path / f"folds{folds}", scores, folds,
-                             tabled)
+    for scores, folds in ((DEMO, 23), (gapped, 20)):
+        _check_traced_search(tmp_path / f"folds{folds}", scores, folds)
 
 
 # Runs bench/traced.py with search blocks of 64 candidates.
@@ -93,20 +91,12 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 """
 
 
-def _check_traced_search(work, scores, folds, tabled):
-    from benchsel.cli import _load_dataset, build_parser
-    from benchsel.search import SearchConfig, _build_context
-
+def _check_traced_search(work, scores, folds):
     argv = ["search", "--size", "3", "--folds", str(folds), "--threads", "1",
             "--min-games", "10", "--min-algos", "10",
             "--ignore-columns", "median57",
             "--scores", str(scores), "--out", str(work / "out"),
             "--quiet"]
-    dataset = _load_dataset(build_parser().parse_args(argv))
-    context = _build_context(dataset, SearchConfig(subset_size=3,
-                                                   folds=folds))
-    assert (context.tables is not None) == tabled
-
     work.mkdir()
     spans_path = work / "spans.json"
     proc = _run(["-c", TRACED_SEARCH, ROOT / "bench" / "traced.py",
@@ -115,10 +105,13 @@ def _check_traced_search(work, scores, folds, tabled):
     spans = json.loads(spans_path.read_text())
     blocks = [i for i, s in enumerate(spans)
               if s["name"] == "search.score_block"]
+    # A block makes one solve for its candidates on shared tables and one
+    # for those on their own tables, if it has any; the refit's solves
+    # nest in fit_ols.
     solves = [s for s in spans if s["name"] == "linreg.chol_solve"
-              and s["parent"] in blocks]
+              and spans[s["parent"]]["name"] != "linreg.fit_ols"]
     assert len(blocks) > 1
-    assert sorted(s["parent"] for s in solves) == blocks
+    assert {s["parent"] for s in solves} == set(blocks)
 
     # Every candidate with enough usable rows is solved once per fold,
     # singular ones included; skipped candidates are not solved.
@@ -222,8 +215,8 @@ def _glibc() -> bool:
 REPEATED_BLOCKS = """
 import resource
 import numpy as np
-from benchsel import cli, linreg
-cli._retain_freed_memory()
+from benchsel import linreg, search
+search._retain_freed_memory()
 rng = np.random.default_rng(0)
 Z = rng.normal(size=(62, 8))
 usable = rng.random((800, 62)) < 0.9
@@ -245,6 +238,45 @@ def test_repeated_cv_blocks_fault_in_no_new_pages(tmp_path):
     faults = [int(n) for n in proc.stdout.split()]
     assert faults[0] > 1000
     assert max(faults[1:]) < faults[0] // 20
+
+
+SEARCH_BLOCKS = """
+import resource
+import numpy as np
+from benchsel import search
+from benchsel.data import FilterConfig, PreparedDataset
+rng = np.random.default_rng(0)
+scores = rng.uniform(0.0, 3.0, size=(62, 16))
+scores[rng.random(scores.shape) < 0.1] = np.nan
+dataset = PreparedDataset(tuple(f"a{i}" for i in range(62)),
+                          tuple(f"g{j}" for j in range(16)), scores,
+                          np.nan_to_num(scores[:, 0]), "median",
+                          FilterConfig(1, 1))
+score_block = search._score_block
+def measured(*args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = score_block(*args)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return result
+search._score_block = measured
+search.enumerate_and_score(dataset, search.SearchConfig(subset_size=5),
+                           progress=lambda done, total: None)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="sets glibc malloc thresholds")
+def test_library_search_blocks_fault_in_no_new_pages(tmp_path):
+    # A program that calls the search without going through the CLI gets
+    # the same malloc thresholds: C(16, 5) = 4,368 candidates in 6 blocks.
+    # Without them every block faults in about as many pages as the first;
+    # with them a later block only grows the heap a little, if its arrays
+    # are larger than any before.
+    proc = _run(["-c", SEARCH_BLOCKS], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(n) for n in proc.stdout.split()]
+    assert len(faults) == 6
+    assert faults[0] > 1000
+    assert max(faults[1:]) < faults[0] // 10
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
