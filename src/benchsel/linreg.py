@@ -19,9 +19,9 @@ systems are solved in one batched call. One kernel does it all:
 holding its rows' held-out values and training systems over some columns,
 and ``_cv_mse_tabled`` scores candidates from them. A table serves either
 one candidate (``cross_validated_mse``, and a search's candidates with
-few others on their usable-row mask) or every candidate of a search
-block sharing a mask (a table over every column the search can fit).
-Both give bit-identical results.
+few others on their usable-row mask) or, from a search worker's store,
+every candidate sharing a mask (a table over every column the search can
+fit). Both give bit-identical results.
 
 This module alone owns the fold layout. A table's n usable rows are dealt
 into folds by ``fold_assignment(n, folds, seed)``, so which ranks each
@@ -357,6 +357,12 @@ def _held_out_rows(usable: np.ndarray, n_rows: np.ndarray, folds: int,
         row_of_rank, ranks.reshape(M, -1), axis=1).reshape(ranks.shape)
 
 
+def _table_doubles(R: int, K: int, folds: int) -> int:
+    """Doubles one table of ``_fold_tables(Z, usable, cols, folds, ·)``
+    holds, for ``Z`` of R rows and K columns in ``cols``."""
+    return (-(-R // folds) + K - 1) * K * folds
+
+
 def _fold_tables(Z: np.ndarray, usable: np.ndarray, cols: np.ndarray,
                  folds: int, seed: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -382,8 +388,8 @@ def _fold_tables(Z: np.ndarray, usable: np.ndarray, cols: np.ndarray,
         Per table, the training systems [G | b] of every fold: the product
         X'[X | t] over the table's rows minus the held-out fold's. It is a
         view laid out in memory as (M, F, K - 1, K), which suits own
-        tables; tables looked up by mask must be made contiguous first,
-        so that each entry's F folds form one run.
+        tables; a search's store makes tables looked up by mask contiguous
+        once, as it adds them, so that each entry's F folds form one run.
     n_rows : ndarray, shape (M,)
         Usable rows per table.
 

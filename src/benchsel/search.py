@@ -7,15 +7,18 @@ them to index arrays, and score a whole block at once with the one CV
 kernel, ``linreg._fold_tables`` and ``linreg._cv_mse_tabled``.
 
 A block groups its candidates by usable-row mask, the AND of their
-columns' packed availability. A group whose own tables would outweigh one
-table over every fittable column, as is common with leaderboard gaps
-(whole games missing for some algorithms), is scored from that shared
-table, which each worker caches by mask; every other candidate gets a
-table of just its own columns. ``linreg`` alone decides how a mask's rows
-are dealt into folds. Both kinds of table give bit-identical cv_mse, so a
-candidate's result does not depend on its block, and the final merge
-uses the total order (cv_mse, sorted environment names): the ranking is
-bit-identical whatever the worker count or block size.
+columns' packed availability. A group is scored from a shared table over
+every fittable column when its mask's table is in the worker's store.
+The store adds the table of a group whose own tables would outweigh it,
+as is common with leaderboard gaps (whole games missing for some
+algorithms), while it has room, and makes its training systems
+contiguous once, as it adds it; every other candidate gets a table of
+just its own columns. ``linreg`` alone decides how a mask's rows are
+dealt into folds. Both kinds of table give bit-identical cv_mse, so a
+candidate's result does not depend on its block. Blocks and the merge
+keep finalists as arrays in the total order (cv_mse, sorted environment
+names), so the ranking is bit-identical whatever the worker count or
+block size.
 
 Per subset, any algorithm missing one of the required scores is dropped
 for that candidate only. Candidates left with fewer usable algorithms
@@ -49,6 +52,7 @@ from .linreg import (
     LinearModel,
     _cv_mse_tabled,
     _fold_tables,
+    _table_doubles,
     fit_ols,
 )
 
@@ -59,7 +63,7 @@ PROGRESS_STRIDE = 1_000_000
 # fastest at 3, 5 and 10 columns on a Xeon with 2 MiB of L2 per core;
 # larger blocks push the Cholesky sweeps out to L3.
 WORKING_SET_DOUBLES = 450_000
-# Doubles of shared fold tables one process keeps between blocks (32 MB).
+# Doubles of shared fold tables one process keeps in its store (32 MB).
 TABLE_CACHE_DOUBLES = 4_000_000
 
 
@@ -199,6 +203,7 @@ class _SearchContext:
     avail: np.ndarray      # (m, n_env) bool, the dataset's ``present``
     packed: np.ndarray     # (n_env, ceil(m / 64)) uint64, bit i: row i
     env_names: tuple[str, ...]
+    name_rank: np.ndarray  # (n_env,) column -> rank in sorted(env_names)
     pool: np.ndarray       # eligible column indices, ascending
     must_cols: np.ndarray  # forced column indices
     table_cols: np.ndarray  # a shared table's columns, target last
@@ -210,7 +215,11 @@ class _SearchContext:
     top_k: int
     min_rows: int
     comb: np.ndarray       # binomial table for the pool
-    table_cache: dict = field(default_factory=dict)  # see _shared_tables
+    # The store: shared tables this process has built, stacked as
+    # ``linreg._fold_tables`` returns them with ``train`` contiguous, and
+    # each one's packed usable-row mask -> its index in the stack.
+    table_slot: dict = field(default_factory=dict)
+    tables: tuple = ()
 
     @property
     def k_free(self) -> int:
@@ -233,45 +242,32 @@ def _shares_table(count: np.ndarray, cols: int, table_cols: int) -> np.ndarray:
     return count * cols * (cols + 1) > (table_cols - 1) * table_cols
 
 
-def _shared_tables(ctx: _SearchContext, keys: np.ndarray,
-                   usable: np.ndarray):
-    """Stacked fold tables over ``ctx.table_cols``, table i for mask
-    ``usable[i]`` (packed: ``keys[i]``), as ``linreg._fold_tables`` returns
-    them. ``ctx.table_cache`` maps packed masks to the tables this process
-    has built, up to ``TABLE_CACHE_DOUBLES`` doubles in all."""
-    cache = ctx.table_cache
-    keys = [key.tobytes() for key in keys]
-    tables = {key: cache[key] for key in keys if key in cache}
-    new = [i for i, key in enumerate(keys) if key not in tables]
-    if new:
-        held, train, n_rows = _fold_tables(ctx.X, usable[new], ctx.table_cols,
-                                           ctx.folds, ctx.seed)
-        size = (held.size + train.size) // len(new)  # doubles per table
-        room = TABLE_CACHE_DOUBLES // size - len(cache)
-        for j, i in enumerate(new):
-            # Copies own their memory, and each entry's folds lie in one
-            # run of ``train``, as lookups need.
-            tables[keys[i]] = (held[:, j:j + 1].copy(), train[j:j + 1].copy(),
-                               n_rows[j:j + 1])
-            if j < room:
-                cache[keys[i]] = tables[keys[i]]
-    held, train, n_rows = zip(*(tables[key] for key in keys))
-    return (np.concatenate(held, axis=1), np.concatenate(train),
-            np.concatenate(n_rows))
+def _ranked(ctx: _SearchContext, cv: np.ndarray, env_cols: np.ndarray,
+            n_usable: np.ndarray):
+    """The best ``ctx.top_k`` candidates as (cv, env_cols, n_usable) arrays,
+    ascending by cv_mse with ties broken by sorted environment names."""
+    if len(cv) > ctx.top_k:  # a cut that keeps every tie at the k-th
+        cut = cv <= np.partition(cv, ctx.top_k - 1)[ctx.top_k - 1]
+        cv, env_cols, n_usable = cv[cut], env_cols[cut], n_usable[cut]
+    # Equal-size subsets compare by sorted name ranks as by sorted names.
+    ranks = np.sort(ctx.name_rank[env_cols], axis=1)
+    order = np.lexsort((*ranks.T[::-1], cv))[:ctx.top_k]
+    return cv[order], env_cols[order], n_usable[order]
 
 
 def _score_block(ctx: _SearchContext, start: int, stop: int):
     """Score candidates with colex ranks in [start, stop).
 
-    Candidates are grouped by usable-row mask. A group large enough by
-    ``_shares_table``, or whose mask's table is cached already, is scored
-    from a table over every fittable column (``_shared_tables``); every
-    other candidate from a table of its own columns. Both kinds give
-    bit-identical cv_mse.
+    Candidates are grouped by usable-row mask. A group whose mask's table
+    is in the worker's store is scored from that table over every
+    fittable column; every other candidate from a table of its own
+    columns. Masks of groups large enough by ``_shares_table`` join the
+    store while it has room within ``TABLE_CACHE_DOUBLES`` doubles, and
+    their tables' ``train`` is made contiguous once, as they join. Both
+    kinds of table give bit-identical cv_mse.
 
-    Returns (n_scored, n_skipped_rows, n_skipped_singular, finalists) where
-    finalists holds at most top_k entries of
-    (cv_mse, sorted-name key, env column tuple, n_usable).
+    Returns (n_scored, n_skipped_rows, n_skipped_singular, finalists)
+    where finalists are ``_ranked``'s arrays for the block.
     """
     n_block = stop - start
     positions = _unrank_colex(np.arange(start, stop), ctx.k_free, ctx.comb)
@@ -295,56 +291,53 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     keys = words[first]
     group = np.empty(n_block, dtype=np.int64)
     group[order] = np.cumsum(first) - 1
-    usable = np.unpackbits(keys.view(np.uint8), axis=1,
-                           count=ctx.avail.shape[0],
+    m = ctx.avail.shape[0]
+    usable = np.unpackbits(keys.view(np.uint8), axis=1, count=m,
                            bitorder="little").view(bool)
     n_usable = usable.sum(axis=1)
     viable = n_usable[group] >= ctx.min_rows
     n_skip_rows = int(n_block - viable.sum())
-    if not viable.any():
-        return 0, n_skip_rows, 0, []
-
     keep = np.flatnonzero(viable)
-    env_cols = env_cols[keep]
-    fit_cols = fit_cols[keep]
-    group = group[keep]
-    shared = _shares_table(np.bincount(group, minlength=len(keys)),
-                           fit_cols.shape[1] - 1, len(ctx.table_cols))
-    if ctx.table_cache:
-        shared |= [key.tobytes() in ctx.table_cache for key in keys]
-    on_shared = shared[group]
+    env_cols, fit_cols, group = env_cols[keep], fit_cols[keep], group[keep]
+
+    # Each mask's slot in the worker's store, or -1; masks worth a shared
+    # table join the store while it has room.
+    slot = np.full(len(keys), -1)
+    if ctx.table_slot:
+        slot[:] = [ctx.table_slot.get(key.tobytes(), -1) for key in keys]
+    K = len(ctx.table_cols)
+    add = np.flatnonzero((slot < 0) & _shares_table(
+        np.bincount(group, minlength=len(keys)), fit_cols.shape[1] - 1, K))
+    room = TABLE_CACHE_DOUBLES // _table_doubles(m, K, ctx.folds)
+    add = add[:max(0, room - len(ctx.table_slot))]
+    if len(add):
+        held, train, n_rows = _fold_tables(ctx.X, usable[add], ctx.table_cols,
+                                           ctx.folds, ctx.seed)
+        if ctx.tables:
+            held = np.concatenate([ctx.tables[0], held], axis=1)
+            train = np.concatenate([ctx.tables[1], train])
+            n_rows = np.concatenate([ctx.tables[2], n_rows])
+        ctx.tables = held, np.ascontiguousarray(train), n_rows
+        slot[add] = np.arange(len(ctx.table_slot), len(n_rows))
+        ctx.table_slot.update((keys[i].tobytes(), int(slot[i])) for i in add)
+
+    on_shared = slot[group] >= 0
     cv = np.empty(len(keep))
     bad = np.empty((len(keep), ctx.folds), dtype=np.int64)
     if on_shared.any():
-        table = np.cumsum(shared) - 1
         cv[on_shared], bad[on_shared] = _cv_mse_tabled(
-            *_shared_tables(ctx, keys[shared], usable[shared]),
-            table[group[on_shared]], ctx.table_col[fit_cols[on_shared]])
+            *ctx.tables, slot[group[on_shared]],
+            ctx.table_col[fit_cols[on_shared]])
     own = ~on_shared
     if own.any():
         cv[own], bad[own] = _cv_mse_tabled(*_fold_tables(
             ctx.X, usable[group[own]], fit_cols[own], ctx.folds, ctx.seed),
             None, None)
 
-    singular = (bad != -1).any(axis=1) | ~np.isfinite(cv)
-    n_singular = int(singular.sum())
-    good = np.flatnonzero(~singular)
-    if not len(good):
-        return 0, n_skip_rows, n_singular, []
-
-    cv_good = cv[good]
-    if len(good) > ctx.top_k:
-        cutoff = np.partition(cv_good, ctx.top_k - 1)[ctx.top_k - 1]
-        good = good[cv_good <= cutoff]
-        cv_good = cv[good]
-    finalists = []
-    for cv_value, cand in zip(cv_good, good):
-        names = tuple(ctx.env_names[c] for c in env_cols[cand])
-        finalists.append((float(cv_value), tuple(sorted(names)),
-                          tuple(int(c) for c in env_cols[cand]),
-                          int(n_usable[group[cand]])))
-    finalists.sort(key=lambda e: (e[0], e[1]))
-    return len(cv) - n_singular, n_skip_rows, n_singular, finalists[:ctx.top_k]
+    good = (bad == -1).all(axis=1) & np.isfinite(cv)
+    n_scored = int(good.sum())
+    return (n_scored, n_skip_rows, len(cv) - n_scored,
+            _ranked(ctx, cv[good], env_cols[good], n_usable[group[good]]))
 
 
 def _worker(ctx: _SearchContext, conn) -> None:
@@ -473,11 +466,15 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
     table_col[table_cols] = np.arange(len(table_cols))
     packed = np.packbits(np.pad(dataset.present, ((0, -m % 64), (0, 0))),
                          axis=0, bitorder="little")
+    by_name = sorted(range(n), key=dataset.environment_ids.__getitem__)
+    name_rank = np.empty(n, dtype=np.int64)
+    name_rank[by_name] = np.arange(n)
     return _SearchContext(
         X=X,
         avail=dataset.present,
         packed=np.ascontiguousarray(packed.T).view(np.uint64),
         env_names=dataset.environment_ids,
+        name_rank=name_rank,
         pool=pool,
         must_cols=must_cols,
         table_cols=table_cols,
@@ -502,11 +499,11 @@ def _retain_freed_memory() -> None:
         libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-def _refit(ctx: _SearchContext, cols: tuple[int, ...], cv_mse: float
+def _refit(ctx: _SearchContext, cols: np.ndarray, cv_mse: float
            ) -> LinearModel:
-    rows = np.flatnonzero(ctx.avail[:, list(cols)].all(axis=1))
+    rows = np.flatnonzero(ctx.avail[:, cols].all(axis=1))
     names = tuple(ctx.env_names[c] for c in cols)
-    model = fit_ols(ctx.X[np.ix_(rows, list(cols))], ctx.X[rows, -1],
+    model = fit_ols(ctx.X[np.ix_(rows, cols)], ctx.X[rows, -1],
                     with_intercept=ctx.with_intercept, environment_ids=names)
     return replace(model, stats=replace(model.stats, cv_mse=cv_mse))
 
@@ -531,20 +528,19 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
 
     scored = skipped_rows = skipped_singular = 0
-    finalists: list[tuple] = []
+    finalists = (np.empty(0), np.empty((0, config.subset_size), np.int64),
+                 np.empty(0, np.int64))
     done = 0
     next_milestone = PROGRESS_STRIDE
 
     def consume(result, span):
         nonlocal scored, skipped_rows, skipped_singular, done, next_milestone
+        nonlocal finalists
         n_scored, n_rows, n_sing, local = result
         scored += n_scored
         skipped_rows += n_rows
         skipped_singular += n_sing
-        finalists.extend(local)
-        if len(finalists) > 4 * config.top_k:
-            finalists.sort(key=lambda e: (e[0], e[1]))
-            del finalists[config.top_k:]
+        finalists = _ranked(ctx, *map(np.concatenate, zip(finalists, local)))
         done += span[1] - span[0]
         while done >= next_milestone:
             progress(next_milestone, total)
@@ -568,18 +564,17 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
             f"{skipped_rows} skipped for insufficient usable algorithms, "
             f"{skipped_singular} for singular designs")
 
-    finalists.sort(key=lambda e: (e[0], e[1]))
     ranked = []
-    for cv_mse, _, cols, n_used in finalists[:config.top_k]:
+    for cv_mse, cols, n_used in zip(*finalists):
         try:
-            model = _refit(ctx, cols, cv_mse)
+            model = _refit(ctx, cols, float(cv_mse))
         except SingularMatrixError:
             scored -= 1
             skipped_singular += 1
             continue
         ranked.append(RankedCandidate(
             subset=model.environment_ids, model=model,
-            cv_mse=cv_mse, n_algorithms_used=n_used))
+            cv_mse=float(cv_mse), n_algorithms_used=int(n_used)))
     if not ranked:
         raise empty_search("every finalist was singular at refit time")
 

@@ -20,6 +20,7 @@ bit. The fold layout the tables are built from is checked against
 import contextlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,8 +275,8 @@ def test_bit_identical_across_block_sizes_and_workers(default_rankings, block,
 def test_bit_identical_across_engines_and_without_table_cache(
         default_rankings, gaps):
     # In blocks of 40, later blocks score small groups from tables that an
-    # earlier block cached. With no room in the cache, shared tables are
-    # built for each block, and those groups take tables of their own.
+    # earlier block added to the worker's store. With no room in the store,
+    # every group takes tables of its own.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_block_size", lambda ctx: 40)
         cached = _ranking(gaps, "rule")
@@ -359,6 +360,35 @@ def test_tables_match_gather_engine_singular_verdicts(with_intercept):
     assert tabled.skip_stats == gathered.skip_stats
     assert tabled.skipped_singular > 0
     assert _listing(tabled) == _listing(gathered)
+
+
+@pytest.mark.parametrize("top_k", [1, 2, 4, 5])
+def test_top_k_cut_inside_an_exact_tie(top_k):
+    # Columns 2 and 3 are exact copies of column 1, holes included, and
+    # take its place in each subset's column order, so the best subsets
+    # come in exactly tied triples, and the cut at top_k falls inside one.
+    # Names run against column order: ties broken by column index would
+    # list each triple backwards.
+    ds = make_dataset(m=40, n=12, seed=46, missing_fraction=0.1,
+                      signal={1: 0.6, 4: 0.3, 7: 0.1})
+    scores = ds.log_scores.copy()
+    scores[:, 2] = scores[:, 3] = scores[:, 1]
+    ds = PreparedDataset(ds.algorithm_ids,
+                         tuple(f"env{12 - j:02d}" for j in range(12)),
+                         scores, ds.targets, "median", FilterConfig(1, 1))
+    config = SearchConfig(subset_size=3, folds=10, seed=6, top_k=1000)
+    every = _listing(enumerate_and_score(ds, config, progress=silent))
+    every.sort(key=lambda c: (c[1], sorted(c[0])))
+    assert every[top_k - 1][1] == every[top_k][1]
+    config = replace(config, top_k=top_k)
+    for block in (None, 40):
+        for threads in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                if block:
+                    mp.setattr(search, "_block_size", lambda ctx: block)
+                result = enumerate_and_score(ds, config, threads=threads,
+                                             progress=silent)
+            assert _listing(result) == every[:top_k]
 
 
 def _assert_scalar_cv(ds, result, with_intercept):

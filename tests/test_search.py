@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from benchsel import search
 from benchsel.data import FilterConfig, PreparedDataset
 from benchsel.errors import EmptySearchError, ValidationError
 from benchsel.formats import bank_from_dict, bank_to_dict, suite_to_dict
@@ -202,9 +203,13 @@ class TestEnumerateAndScore:
         assert calls == [100]  # C(10,3) = 120 crosses one stride of 100
 
 
+def _listing(result):
+    return [(c.subset, c.cv_mse, c.n_algorithms_used) for c in result.ranked]
+
+
 def _score_every_block(ctx):
     """Score every block of ``ctx``'s search in this process; returns
-    ``ctx``, its table cache filled."""
+    ``ctx``, its table store filled."""
     total = math.comb(len(ctx.pool), ctx.k_free)
     block = _block_size(ctx)
     for start in range(0, total, block):
@@ -218,26 +223,51 @@ class TestMaskTables:
     def test_block_gaps_build_tables(self):
         ds = make_dataset(m=62, n=30, seed=50, missing_fraction=0.1,
                           gaps="block")
-        cache = _score_every_block(
-            _build_context(ds, SearchConfig(subset_size=5))).table_cache
+        ctx = _score_every_block(
+            _build_context(ds, SearchConfig(subset_size=5)))
+        held, train, n_rows = ctx.tables
         # Three gapped classes: every set of them is a reachable mask.
-        assert 0 < len(cache) <= 8
-        for key, (held, train, n_rows) in cache.items():
+        assert 0 < len(ctx.table_slot) <= 8
+        assert sorted(ctx.table_slot.values()) == list(range(len(n_rows)))
+        assert train.flags.c_contiguous
+        for key, slot in ctx.table_slot.items():
             mask = np.unpackbits(np.frombuffer(key, dtype=np.uint8),
                                  count=62, bitorder="little")
-            assert n_rows.tolist() == [mask.sum()]
+            assert n_rows[slot] == mask.sum()
             # 30 games and the target, 10 folds of at most 7 rows.
-            assert held.shape == (7, 1, 31, 10)
-            assert train.shape == (1, 30, 31, 10)
-        assert sum(h.size + t.size for h, t, _ in cache.values()) <= \
-               TABLE_CACHE_DOUBLES
+            assert held[:, slot].shape == (7, 31, 10)
+            assert train[slot].shape == (30, 31, 10)
+        assert held.size + train.size <= TABLE_CACHE_DOUBLES
+
+    def test_capped_store_ranks_as_uncapped(self, monkeypatch):
+        # Room for two tables: later large groups take tables of their own.
+        ds = make_dataset(m=62, n=20, seed=50, missing_fraction=0.1,
+                          gaps="block")
+        config = SearchConfig(subset_size=5, top_k=1000)
+        held, train, n_rows = _score_every_block(
+            _build_context(ds, config)).tables
+        assert len(n_rows) > 2
+        uncapped = enumerate_and_score(ds, config, progress=silent)
+        monkeypatch.setattr(search, "TABLE_CACHE_DOUBLES",
+                            2 * (held[:, 0].size + train[0].size))
+        ctx = _score_every_block(_build_context(ds, config))
+        assert sorted(ctx.table_slot.values()) == [0, 1]
+        assert len(ctx.tables[2]) == 2
+        capped = enumerate_and_score(ds, config, progress=silent)
+        monkeypatch.setattr(search, "_shares_table",
+                            lambda count, *_: np.zeros(len(count), bool))
+        gathered = enumerate_and_score(ds, config, progress=silent)
+        for result in (uncapped, gathered):
+            assert result.skip_stats == capped.skip_stats
+            assert _listing(result) == _listing(capped)
 
     def test_iid_gaps_exceed_the_budget(self):
         # Scattered gaps leave no group of candidates whose own tables
         # would outweigh one over every game, so none is built.
         ds = make_dataset(m=62, n=30, seed=50, missing_fraction=0.1)
         ctx = _build_context(ds, SearchConfig(subset_size=5))
-        assert _score_every_block(ctx).table_cache == {}
+        ctx = _score_every_block(ctx)
+        assert ctx.table_slot == {} and ctx.tables == ()
 
     def test_every_column_forced(self):
         ds = make_dataset(m=40, n=12, seed=51, missing_fraction=0.2,
@@ -262,9 +292,9 @@ class TestMaskTables:
         ctx = _score_every_block(_build_context(ds, config))
         # Ten games, the ones column and the target.
         assert ctx.table_cols.tolist() == list(range(12))
-        assert ctx.table_cache
-        for held, train, _ in ctx.table_cache.values():
-            assert held.shape[2] == 12 and train.shape[1:3] == (11, 12)
+        assert ctx.table_slot
+        held, train, _ = ctx.tables
+        assert held.shape[2] == 12 and train.shape[1:3] == (11, 12)
         result = enumerate_and_score(ds, config, progress=silent)
         for cand in result.ranked:
             cols = [ds.index.position(e) for e in cand.subset]

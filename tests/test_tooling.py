@@ -164,6 +164,15 @@ def test_canonical_key_only_in_data_module():
     assert users == ["benchsel/__init__.py", "benchsel/data.py"]
 
 
+def test_files_written_only_in_formats_module():
+    # Output is serialized in one place: formats.
+    writes = re.compile(r"\bjson\.dumps?\b|\bcsv\.(?:writer|DictWriter)\b"
+                        r"|\.write_(?:text|bytes)\("
+                        r"|\bopen\([^)]*['\"][rb]*[wax+]")
+    users = sorted(p for p, text in _sources().items() if writes.search(text))
+    assert users == ["benchsel/formats.py"]
+
+
 def test_fold_layout_only_in_linreg_module():
     # How rows are dealt into folds is decided in one place: linreg.
     layout = re.compile(
