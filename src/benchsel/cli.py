@@ -4,7 +4,7 @@ Every command is deterministic given (inputs, flags, seed), including the
 worker count. Exit codes: 0 on success, 1 for data or runtime errors, 2
 for usage errors. Output files that must be byte-reproducible embed the
 input checksum chain and reference the run manifest (which holds the
-volatile details like wall time) by file name.
+volatile details like wall time and the workers used) by file name.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .search import (
     enumerate_and_score,
     nested_pipeline,
     per_game_models,
-    resolve_workers,
     variance_explained,
 )
 
@@ -80,16 +79,17 @@ def _add_io_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default="benchsel-out",
                         help="output directory (created if missing)")
     parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress output on stderr")
+                        help="print no text summary and no progress lines")
     parser.add_argument("--json", action="store_true",
                         help="print a JSON summary to stdout instead of text")
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser):
+def _add_dataset_flags(parser: argparse.ArgumentParser, *, min_algos=True):
     parser.add_argument("--min-games", type=int, default=40,
                         help="drop algorithms with fewer present scores")
-    parser.add_argument("--min-algos", type=int, default=40,
-                        help="then drop environments with fewer present scores")
+    if min_algos:
+        parser.add_argument("--min-algos", type=int, default=40,
+                            help="then drop environments with fewer scores")
     parser.add_argument("--target", choices=("median", "mean"),
                         default="median", help="summary statistic to predict")
     parser.add_argument("--ignore-columns", default="",
@@ -102,12 +102,8 @@ def _add_search_flags(parser: argparse.ArgumentParser):
                         help="cross-validation folds")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the fold shuffle")
-    # argparse converts a string default with ``type`` only when the flag
-    # is absent, so a malformed BENCHSEL_THREADS is a usage error.
-    parser.add_argument("--threads", type=int,
-                        default=os.environ.get("BENCHSEL_THREADS", "0"),
-                        help="worker processes; 0 = auto-detect "
-                             "(default: $BENCHSEL_THREADS or 0)")
+    parser.add_argument("--threads", type=int, default=0,
+                        help="worker processes; 0 = one per CPU")
 
 
 def _split_csv_flag(raw: str) -> tuple[str, ...]:
@@ -132,6 +128,15 @@ def _checksums(args, model_path=None) -> dict[str, str]:
     if getattr(args, "categories", None):
         checksums["categories"] = sha256_file(args.categories)
     return checksums
+
+
+def _emit(args, doc, lines, sort_keys=True) -> None:
+    """Print ``doc`` as JSON under --json, else ``lines`` unless --quiet."""
+    if args.json:
+        print(dumps(doc, sort_keys=sort_keys))
+    elif not args.quiet:
+        for line in lines:
+            print(line)
 
 
 def _progress_for(args):
@@ -196,17 +201,14 @@ def cmd_search(args) -> dict:
 
     summary = _model_summary_row(name, best.subset, best.model)
     summary["skip_stats"] = result.skip_stats
-    if args.json:
-        print(dumps(summary))
-    elif not args.quiet:
-        print(f"best size-{args.size} subset: {', '.join(best.subset)}")
-        print(f"  cv_mse={best.cv_mse:.6g}  "
-              f"r_squared={best.model.stats.r_squared:.4f}  "
-              f"algorithms={best.n_algorithms_used}")
-        print(f"wrote {ranked_path}")
+    _emit(args, summary, [
+        f"best size-{args.size} subset: {', '.join(best.subset)}",
+        f"  cv_mse={best.cv_mse:.6g}  "
+        f"r_squared={best.model.stats.r_squared:.4f}  "
+        f"algorithms={best.n_algorithms_used}",
+        f"wrote {ranked_path}"])
     return {"input_checksums": checksums, "seed": args.seed,
-            "workers": resolve_workers(args.threads),
-            "notes": result.skip_stats}
+            "workers": result.workers, "notes": result.skip_stats}
 
 
 # ---------------------------------------------------------------------------
@@ -258,36 +260,44 @@ def cmd_pipeline(args) -> dict:
     for name in ("size-5", "size-10"):
         lines.append(f"variance explained ({name} bank): "
                      f"{explained[name]:.1%}")
-    summary_text = "\n".join(lines) + "\n"
-    write_text(os.path.join(args.out, "summary.txt"), summary_text)
+    write_text(os.path.join(args.out, "summary.txt"), "\n".join(lines) + "\n")
     write_csv(os.path.join(args.out, "summary.csv"), (),
               ["name", "games", "r_squared", "cv_mse", "approx_rel_err"],
               [(r["name"], " | ".join(r["games"]), r["r_squared"],
                 r["cv_mse"], r["approx_rel_err"]) for r in rows])
 
-    if args.json:
-        print(dumps({"models": rows, "variance_explained": explained}))
-    elif not args.quiet:
-        print(summary_text, end="")
+    _emit(args, {"models": rows, "variance_explained": explained}, lines)
     return {"input_checksums": checksums, "seed": args.seed,
-            "workers": resolve_workers(args.threads),
+            "workers": suite.workers,
             "notes": {"skip_stats": suite.skip_stats}}
 
 
 # ---------------------------------------------------------------------------
 # predict
 
-def _load_model(name_or_path: str):
-    """(model, document, path) of a model file or shipped reference model."""
-    path = name_or_path
+def _load_model_inputs(args, value_columns=()):
+    """Load ``--model`` (a file or a shipped model's name), the norms and the
+    scores; a model fitted on other norms warns, or fails under --strict."""
+    path = args.model
     if not os.path.exists(path):
-        if name_or_path not in fixtures.SUBSET_MODEL_NAMES:
-            raise BenchselError(
-                f"model {name_or_path!r} is neither a file nor a shipped "
-                f"reference model ({', '.join(fixtures.SUBSET_MODEL_NAMES)})")
-        path = str(fixtures.subset_model_path(name_or_path))
+        path = fixtures.subset_model_path(args.model)
     model, doc = load_model(path)
-    return model, doc, path
+    norms = load_norms(args.norms)
+    if args.true_summary:
+        value_columns = (args.true_summary, *value_columns)
+    table, values = load_scores_with_values(args.scores, value_columns)
+    checksums = _checksums(args, path)
+
+    embedded = doc.get("norms_checksum")
+    if embedded and embedded != checksums["norms"]:
+        message = (f"normalization table checksum {checksums['norms']} does "
+                   f"not match the one the model was fitted against "
+                   f"({embedded})")
+        if getattr(args, "strict", False):
+            raise BenchselError(message)
+        print(f"warning: {message}", file=sys.stderr)
+
+    return model, doc, norms, table, values, checksums
 
 
 def _report_row(r):
@@ -296,21 +306,8 @@ def _report_row(r):
 
 
 def cmd_predict(args) -> dict:
-    model, model_doc, model_path = _load_model(args.model)
-    norms = load_norms(args.norms)
-    checksums = _checksums(args, model_path)
-
-    embedded = model_doc.get("norms_checksum")
-    if embedded and embedded != checksums["norms"]:
-        message = (f"normalization table checksum {checksums['norms']} does "
-                   f"not match the one the model was fitted against "
-                   f"({embedded})")
-        if args.strict:
-            raise BenchselError(message)
-        print(f"warning: {message}", file=sys.stderr)
-
-    value_columns = (args.true_summary,) if args.true_summary else ()
-    table, values = load_scores_with_values(args.scores, value_columns)
+    model, model_doc, norms, table, values, checksums = _load_model_inputs(
+        args)
     truths = values.get(args.true_summary, {}) if args.true_summary else {}
     used = sorted({j for j in map(table.index.get, model.environment_ids)
                    if j is not None})
@@ -348,21 +345,20 @@ def cmd_predict(args) -> dict:
         row_errors=row_errors, rebased=rebased)
     write_json(os.path.join(args.out, "predictions.json"), detail)
 
-    if args.json:
-        print(dumps(detail))
-    elif not args.quiet:
-        for r in reports:
-            line = f"{r.algorithm_id}: predicted {r.predicted_summary:.1f}"
-            if r.true_summary is not None and r.relative_error is not None:
-                line += (f" (true {r.true_summary:.1f}, "
-                         f"rel err {r.relative_error:+.1%})")
-            elif r.true_summary is not None:
-                line += f" (true {r.true_summary:.1f})"
-            print(line)
-        for algorithm, message in sorted(row_errors.items()):
-            print(f"{algorithm}: skipped ({message})")
-        if inversions is not None:
-            print(f"ranking inversions vs truth: {inversions}")
+    lines = []
+    for r in reports:
+        line = f"{r.algorithm_id}: predicted {r.predicted_summary:.1f}"
+        if r.true_summary is not None and r.relative_error is not None:
+            line += (f" (true {r.true_summary:.1f}, "
+                     f"rel err {r.relative_error:+.1%})")
+        elif r.true_summary is not None:
+            line += f" (true {r.true_summary:.1f})"
+        lines.append(line)
+    for algorithm, message in sorted(row_errors.items()):
+        lines.append(f"{algorithm}: skipped ({message})")
+    if inversions is not None:
+        lines.append(f"ranking inversions vs truth: {inversions}")
+    _emit(args, detail, lines)
     return {"input_checksums": checksums,
             "notes": {"rows": len(reports), "row_errors": len(row_errors)}}
 
@@ -381,14 +377,13 @@ def cmd_analyze_rank_single(args) -> dict:
                "n_algorithms"],
               [(f.environment, f.slope, f.intercept, f.r_squared,
                 f.n_algorithms) for f in ranking.ranked])
-    if args.json:
-        print(dumps([f.__dict__ for f in ranking.ranked], sort_keys=False))
-    elif not args.quiet:
-        best = ranking.ranked[-1] if ranking.ranked else None
-        if best:
-            print(f"most predictive single game: {best.environment} "
-                  f"(r_squared={best.r_squared:.3f})")
-        print(f"wrote {path}")
+    lines = []
+    if ranking.ranked:
+        best = ranking.ranked[-1]
+        lines.append(f"most predictive single game: {best.environment} "
+                     f"(r_squared={best.r_squared:.3f})")
+    lines.append(f"wrote {path}")
+    _emit(args, [f.__dict__ for f in ranking.ranked], lines, sort_keys=False)
     return {"input_checksums": checksums,
             "notes": {"flagged": ranking.flagged}}
 
@@ -407,24 +402,19 @@ def cmd_analyze_correlate(args) -> dict:
                for p in pairs])
     if args.dot:
         write_text(args.dot, export_dot(pairs, categories))
-    if args.json:
-        print(dumps([p.__dict__ for p in pairs], sort_keys=False))
-    elif not args.quiet:
-        if pairs:
-            top = pairs[0]
-            print(f"most correlated pair: {top.env_a} / {top.env_b} "
-                  f"(pcc={top.pcc:.3f})")
-        print(f"wrote {path}")
+    lines = []
+    if pairs:
+        top = pairs[0]
+        lines.append(f"most correlated pair: {top.env_a} / {top.env_b} "
+                     f"(pcc={top.pcc:.3f})")
+    lines.append(f"wrote {path}")
+    _emit(args, [p.__dict__ for p in pairs], lines, sort_keys=False)
     return {"input_checksums": checksums}
 
 
 def cmd_analyze_fairness(args) -> dict:
-    model, _, model_path = _load_model(args.model)
-    norms = load_norms(args.norms)
-    ignore = _split_csv_flag(args.ignore_columns)
-    value_columns = ((args.true_summary,) if args.true_summary else ()) + ignore
-    table, values = load_scores_with_values(args.scores, value_columns)
-    checksums = _checksums(args, model_path)
+    model, _, norms, table, values, checksums = _load_model_inputs(
+        args, _split_csv_flag(args.ignore_columns))
 
     if args.true_summary:
         truths = values[args.true_summary]
@@ -443,17 +433,16 @@ def cmd_analyze_fairness(args) -> dict:
     report = fairness_report(reports, alpha=args.alpha)
     doc = fairness_to_dict(report, checksums)
     write_json(os.path.join(args.out, "fairness.json"), doc)
-    if args.json:
-        print(dumps(doc))
-    elif not args.quiet:
-        for name in ("low", "mid", "high"):
-            g = report.groups[name]
-            print(f"{name:>4}: mean |rel err| {g.mean_abs_rel_error:.1%}, "
-                  f"mean rel err {g.mean_rel_error:+.1%} "
-                  f"({len(g.algorithm_ids)} algorithms)")
-        verdict = ("differences detected" if report.any_significant
-                   else "no significant differences")
-        print(f"{verdict} at p={report.alpha}")
+    lines = []
+    for name in ("low", "mid", "high"):
+        g = report.groups[name]
+        lines.append(f"{name:>4}: mean |rel err| {g.mean_abs_rel_error:.1%}, "
+                     f"mean rel err {g.mean_rel_error:+.1%} "
+                     f"({len(g.algorithm_ids)} algorithms)")
+    verdict = ("differences detected" if report.any_significant
+               else "no significant differences")
+    lines.append(f"{verdict} at p={report.alpha}")
+    _emit(args, doc, lines)
     return {"input_checksums": checksums}
 
 
@@ -539,11 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--true-summary", default=None,
                    help="column holding true summaries; computed from the "
                         "table when omitted")
-    q.add_argument("--min-games", type=int, default=40,
-                   help="min present scores for a usable true summary")
-    q.add_argument("--target", choices=("median", "mean"), default="median")
-    q.add_argument("--ignore-columns", default="",
-                   help="comma-separated non-score columns to ignore")
+    _add_dataset_flags(q, min_algos=False)
     q.add_argument("--alpha", type=float, default=0.05,
                    help="significance threshold")
     q.set_defaults(func=cmd_analyze_fairness)

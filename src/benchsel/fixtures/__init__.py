@@ -37,8 +37,8 @@ def demo_scores_path() -> Path:
 def subset_model_path(name: str) -> Path:
     if name not in SUBSET_MODEL_NAMES:
         raise ValidationError(
-            f"unknown reference model {name!r}; shipped models: "
-            f"{', '.join(SUBSET_MODEL_NAMES)}")
+            f"model {name!r} is neither an existing file nor a shipped "
+            f"reference model ({', '.join(SUBSET_MODEL_NAMES)})")
     return _ROOT / "models" / f"{name}.json"
 
 

@@ -110,7 +110,9 @@ class SearchResult:
     ``ranked`` is sorted ascending by cv_mse with ties broken by the
     lexicographic order of the sorted environment names, so the ordering
     is total and reproducible. ``scored + skipped_insufficient_rows +
-    skipped_singular == total_candidates`` always holds.
+    skipped_singular == total_candidates`` always holds. ``workers`` is the
+    number of processes that scored blocks: 1 when the search ran in the
+    calling process.
     """
 
     config: SearchConfig
@@ -119,6 +121,7 @@ class SearchResult:
     scored: int
     skipped_insufficient_rows: int
     skipped_singular: int
+    workers: int
 
     @property
     def best(self) -> RankedCandidate:
@@ -150,13 +153,15 @@ class ModelBank:
 
 @dataclass
 class SubsetSuite:
-    """The named nested model family produced by the full pipeline."""
+    """The named nested model family produced by the full pipeline;
+    ``workers`` is the most processes any of its searches used."""
 
     models: dict[str, RankedCandidate]
     folds: int
     seed: int
     dataset_hash: str
     skip_stats: dict[str, dict[str, int]]
+    workers: int
     banks: dict[str, ModelBank] = field(default_factory=dict)
 
     def subset(self, name: str) -> tuple[str, ...]:
@@ -344,6 +349,7 @@ def _worker(ctx: _SearchContext, conn) -> None:
     """Score the spans that arrive on ``conn`` until the parent closes it."""
     # Ctrl-C reaches the whole process group; the parent alone reports it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _retain_freed_memory()  # a spawned worker does not inherit the settings
     while True:
         try:
             span = conn.recv()
@@ -359,14 +365,14 @@ def _worker(ctx: _SearchContext, conn) -> None:
 def _score_pooled(ctx: _SearchContext, spans, n_workers: int,
                   consume) -> None:
     """``consume(_score_block(ctx, *span), span)`` for each span, in order,
-    scored by ``n_workers`` forked processes that each take the next span
-    when they are free.
+    scored by ``n_workers`` processes, started by the default start method,
+    that each take the next span when they are free.
 
     Each worker has a pipe of its own, so one that dies holds no lock the
     others need: its exit is an error at once, and every worker is stopped
     on the way out.
     """
-    mp = multiprocessing.get_context("fork")
+    mp = multiprocessing.get_context()
     workers = {}                    # parent end of a worker's pipe -> worker
     try:
         for _ in range(n_workers):
@@ -494,7 +500,7 @@ def _retain_freed_memory() -> None:
     temporaries, and faulting them in again cost a third of a job's CPU."""
     import ctypes
     libc = ctypes.CDLL(None)
-    if hasattr(libc, "gnu_get_libc_version"):  # forked workers inherit it
+    if hasattr(libc, "gnu_get_libc_version"):
         libc.mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
         libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
@@ -515,17 +521,17 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
     Every ``subset_size``-combination containing ``must_include`` and
     avoiding ``exclude`` is cross-validated; the ranking ascends by cv_mse
     with lexicographic environment-name tie-breaks. ``threads`` only
-    controls how rank blocks are dealt out, never the result.
+    controls how rank blocks are dealt out, never the result; the search
+    uses at most one worker per block.
     """
     _retain_freed_memory()
     ctx = _build_context(dataset, config)
     total = math.comb(len(ctx.pool), ctx.k_free)
     if progress is None:
         progress = _default_progress
-    threads = resolve_workers(threads)
-
     block = _block_size(ctx)
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
+    workers = min(resolve_workers(threads), len(spans))
 
     scored = skipped_rows = skipped_singular = 0
     finalists = (np.empty(0), np.empty((0, config.subset_size), np.int64),
@@ -546,11 +552,11 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
             progress(next_milestone, total)
             next_milestone += PROGRESS_STRIDE
 
-    if threads == 1 or len(spans) == 1:
+    if workers == 1:
         for span in spans:
             consume(_score_block(ctx, *span), span)
     else:
-        _score_pooled(ctx, spans, min(threads, len(spans)), consume)
+        _score_pooled(ctx, spans, workers, consume)
 
     def empty_search(message):
         return EmptySearchError(message, skip_stats={
@@ -585,6 +591,7 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
         scored=scored,
         skipped_insufficient_rows=skipped_rows,
         skipped_singular=skipped_singular,
+        workers=workers,
     )
 
 
@@ -610,8 +617,10 @@ def nested_pipeline(dataset: PreparedDataset, folds: int = 10, seed: int = 0, *,
 
     models: dict[str, RankedCandidate] = {}
     skip_stats: dict[str, dict[str, int]] = {}
+    workers = 1
 
     def run(stage: str, size: int, must=(), exclude=()) -> RankedCandidate:
+        nonlocal workers
         config = SearchConfig(subset_size=size, must_include=tuple(must),
                               exclude=tuple(exclude), folds=folds, seed=seed,
                               top_k=top_k)
@@ -620,6 +629,7 @@ def nested_pipeline(dataset: PreparedDataset, folds: int = 10, seed: int = 0, *,
                                          progress=progress)
         except EmptySearchError as exc:
             raise EmptySearchError(f"[{stage}] {exc}", exc.skip_stats) from exc
+        workers = max(workers, result.workers)
         skip_stats[stage] = result.skip_stats
         models[stage] = result.best
         return result.best
@@ -637,7 +647,7 @@ def nested_pipeline(dataset: PreparedDataset, folds: int = 10, seed: int = 0, *,
 
     suite = SubsetSuite(models=models, folds=folds, seed=seed,
                         dataset_hash=dataset.content_hash(),
-                        skip_stats=skip_stats)
+                        skip_stats=skip_stats, workers=workers)
     _check_nesting(suite)
     return suite
 

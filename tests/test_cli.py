@@ -78,6 +78,13 @@ def _ignores_sigint(pid: str) -> bool:
     return bool(int(mask, 16) >> (signal.SIGINT - 1) & 1)
 
 
+def _src_env() -> dict:
+    """This process's environment with the checkout's ``src`` importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 needs_child_lists = pytest.mark.skipif(
     not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
     reason="needs /proc child lists")
@@ -97,14 +104,12 @@ def _interrupted_search(tmp_path, interrupt) -> tuple[int, str]:
                       + "".join(f"a{i}," + ",".join(
                           str(g.random + rng.uniform(0, 2) * (g.human - g.random))
                           for g in games) + "\n" for i in range(62)))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "benchsel.cli", "search", "--size", "5",
          "--threads", "2", "--scores", str(scores),
          "--out", str(tmp_path / "out"), "--quiet"],
-        env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        env=_src_env(), stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
     try:
         deadline = time.monotonic() + 60
         while not (len(workers := _children(proc.pid)) == 2
@@ -149,6 +154,60 @@ def test_killed_worker_exits_one_with_one_line_and_no_workers(tmp_path):
     assert err.splitlines() == [
         f"benchsel: error: search worker {killed[0]} died (exit code -9)"]
     assert time.monotonic() - started < 60
+
+
+DEMO_FILTERS = ["--scores", fixtures.demo_scores_path(), "--min-games", "10",
+                "--min-algos", "10", "--ignore-columns", "median57"]
+
+
+@pytest.mark.parametrize("command, workers", [
+    (["search", "--size", "3", "--threads", "2"], 1),  # 1 block
+    (["search", "--size", "5", "--threads", "4"], 3),  # 3 blocks
+    (["pipeline", "--threads", "2"], 2),
+])
+def test_manifest_records_workers_used(tmp_path, command, workers):
+    # A search starts no more workers than it has blocks.
+    out = tmp_path / "out"
+    assert run([*command, *DEMO_FILTERS, "--out", out, "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["workers"] == workers
+
+
+START_METHOD_SEARCH = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+get_context = multiprocessing.get_context
+def reporting_context(*args):
+    context = get_context(*args)
+    print(context.get_start_method())
+    return context
+multiprocessing.get_context = reporting_context
+from benchsel import cli, search
+search._block_size = lambda ctx: 40
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_spawned_workers_give_the_forked_workers_output(tmp_path):
+    # The pool starts its workers by the default start method. Spawned
+    # workers inherit nothing from the parent: the search context reaches
+    # them pickled, and each sets its own malloc thresholds. The demo
+    # size-3 search is 12 blocks of 40 candidates.
+    outputs = {}
+    for method in ("fork", "spawn"):
+        out = tmp_path / method
+        proc = subprocess.run(
+            [sys.executable, "-c", START_METHOD_SEARCH, method, "search",
+             "--size", "3", "--threads", "2", *map(str, DEMO_FILTERS),
+             "--out", str(out), "--quiet"],
+            env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [method]  # the pool's start method
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == 2
+        outputs[method] = ((out / "ranked.csv").read_bytes(),
+                           manifest["notes"])
+    assert outputs["spawn"] == outputs["fork"]
 
 
 class TestSearchCommand:
@@ -197,18 +256,6 @@ class TestSearchCommand:
         with pytest.raises(SystemExit) as exc:
             run(["search", "--scores", scores, "--norms", norms])
         assert exc.value.code == 2
-
-    def test_malformed_threads_variable_is_a_usage_error(
-            self, toy_inputs, capsys, monkeypatch):
-        monkeypatch.setenv("BENCHSEL_THREADS", "x")
-        scores, norms, tmp = toy_inputs
-        with pytest.raises(SystemExit) as exc:
-            run(["search", "--scores", scores, "--norms", norms,
-                 "--size", "2", "--out", tmp / "out"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("usage: ")
-        assert "argument --threads: invalid int value: 'x'" in err[-1]
 
     def test_auto_threads_records_workers_used(self, toy_inputs):
         scores, norms, tmp = toy_inputs
@@ -378,6 +425,19 @@ class TestPredictCommand:
         assert err[0].startswith("benchsel: error: ")
         assert "broken.json" in err[0] and "environment_ids" in err[0]
 
+    @pytest.mark.parametrize("command", [["predict"], ["analyze", "fairness"]])
+    def test_unknown_model_name_exits_one_listing_shipped_models(
+            self, toy_inputs, capsys, command):
+        scores, norms, tmp = toy_inputs
+        rc = run([*command, "--model", "nosuchmodel", "--scores", scores,
+                  "--norms", norms, "--out", tmp / "unknown-model"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("benchsel: error: ")
+        assert "'nosuchmodel' is neither an existing file nor" in err[0]
+        assert all(name in err[0] for name in fixtures.SUBSET_MODEL_NAMES)
+
     def test_shipped_reference_model_by_name(self, tmp_path):
         from benchsel import fixtures
 
@@ -449,6 +509,18 @@ class TestAnalyzeCommands:
         doc = json.loads((out / "fairness.json").read_text())
         assert set(doc["groups"]) == {"low", "mid", "high"}
         assert "low-vs-high" in doc["pairwise"]
+
+    def test_fairness_checksum_mismatch_warns(self, toy_inputs, capsys):
+        scores, norms, tmp = toy_inputs
+        model_path = tmp / "m.json"
+        model = LinearModel(("g1", "g2"), np.array([0.5, 0.5]))
+        save_model(model_path, model, norms_checksum="sha256:bogus")
+        rc = run(["analyze", "fairness", "--scores", scores,
+                  "--norms", norms, "--model", model_path,
+                  "--true-summary", "truecol", "--min-games", "2",
+                  "--out", tmp / "fair", "--quiet"])
+        assert rc == 0
+        assert "checksum" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["7", "nan", "-1", "0", "1"])
     def test_fairness_bad_alpha_exits_one_with_one_line(self, toy_inputs,

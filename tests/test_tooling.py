@@ -1,8 +1,8 @@
 """The benchmark's tracer and the demo scripts keep working, the CLI
 starts without loading scipy or numpy.ma, name matching stays in the data
-module and the fold layout in linreg, the thread count is the only
-environment variable read, score tables load without holding the file,
-and CV blocks reuse freed memory.
+module and the fold layout in linreg, no environment variable is read,
+score tables load without holding the file, and CV blocks reuse freed
+memory.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
@@ -181,12 +181,13 @@ def test_fold_layout_only_in_linreg_module():
     assert users == ["benchsel/linreg.py"]
 
 
-def test_only_environment_variable_read_is_the_thread_count():
+def test_no_environment_variable_read():
+    # Flags are the only configuration: a run's manifest records them all.
     reads = sorted(
         (path, m.group(1)) for path, text in _sources().items()
         for m in re.finditer(r"\b(?:environ|getenv)\b(?:\.get)?\W*(\w*)",
                              text))
-    assert reads == [("benchsel/cli.py", "BENCHSEL_THREADS")]
+    assert reads == []
 
 
 def test_score_table_ingest_does_not_hold_the_file(tmp_path):
