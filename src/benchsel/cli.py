@@ -84,14 +84,19 @@ def _add_io_flags(parser: argparse.ArgumentParser):
                         help="print a JSON summary to stdout instead of text")
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser, *, min_algos=True):
+def _add_dataset_flags(parser: argparse.ArgumentParser, *, fairness=False):
+    # ``analyze fairness`` filters and summarizes the table only to compute
+    # true summaries, and has no --min-algos.
+    unless = "; ignored with --true-summary" if fairness else ""
     parser.add_argument("--min-games", type=int, default=40,
-                        help="drop algorithms with fewer present scores")
-    if min_algos:
+                        help="drop algorithms with fewer present scores"
+                             + unless)
+    if not fairness:
         parser.add_argument("--min-algos", type=int, default=40,
                             help="then drop environments with fewer scores")
     parser.add_argument("--target", choices=("median", "mean"),
-                        default="median", help="summary statistic to predict")
+                        default="median",
+                        help="summary statistic to predict" + unless)
     parser.add_argument("--ignore-columns", default="",
                         help="comma-separated non-score columns to ignore "
                              "(e.g. a true-summary column)")
@@ -103,7 +108,8 @@ def _add_search_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the fold shuffle")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker processes; 0 = one per CPU")
+                        help="processes that score blocks, this one "
+                             "included; 0 = one per CPU")
 
 
 def _split_csv_flag(raw: str) -> tuple[str, ...]:
@@ -528,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--true-summary", default=None,
                    help="column holding true summaries; computed from the "
                         "table when omitted")
-    _add_dataset_flags(q, min_algos=False)
+    _add_dataset_flags(q, fairness=True)
     q.add_argument("--alpha", type=float, default=0.05,
                    help="significance threshold")
     q.set_defaults(func=cmd_analyze_fairness)

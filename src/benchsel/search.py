@@ -2,13 +2,14 @@
 
 Candidate subsets are enumerated in colexicographic order through the
 combinatorial number system, so a block of candidates is fully determined
-by a rank interval [start, stop). Workers receive rank intervals, unrank
-them to index arrays, and score a whole block at once with the one CV
-kernel, ``linreg._fold_tables`` and ``linreg._cv_mse_tabled``.
+by a rank interval [start, stop). With n processes, the calling one and
+n - 1 workers, process i % n scores interval i: it unranks the interval to
+index arrays and scores the whole block at once with the one CV kernel,
+``linreg._fold_tables`` and ``linreg._cv_mse_tabled``.
 
 A block groups its candidates by usable-row mask, the AND of their
 columns' packed availability. A group is scored from a shared table over
-every fittable column when its mask's table is in the worker's store.
+every fittable column when its mask's table is in the process's store.
 The store adds the table of a group whose own tables would outweigh it,
 as is common with leaderboard gaps (whole games missing for some
 algorithms), while it has room, and makes its training systems
@@ -28,14 +29,13 @@ needs) are skipped and counted, never silently dropped.
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
 import signal
 import sys
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from multiprocessing import connection
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def _unrank_colex(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _SearchContext:
-    """Everything a worker needs to score a rank interval; fully picklable."""
+    """Everything a process needs to score a rank interval; picklable."""
 
     X: np.ndarray          # (m, n_env + 2) log scores, NaN->0, then a
                            # ones column and the target column
@@ -264,7 +264,7 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     """Score candidates with colex ranks in [start, stop).
 
     Candidates are grouped by usable-row mask. A group whose mask's table
-    is in the worker's store is scored from that table over every
+    is in the process's store is scored from that table over every
     fittable column; every other candidate from a table of its own
     columns. Masks of groups large enough by ``_shares_table`` join the
     store while it has room within ``TABLE_CACHE_DOUBLES`` doubles, and
@@ -305,7 +305,7 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     keep = np.flatnonzero(viable)
     env_cols, fit_cols, group = env_cols[keep], fit_cols[keep], group[keep]
 
-    # Each mask's slot in the worker's store, or -1; masks worth a shared
+    # Each mask's slot in the process's store, or -1; masks worth a shared
     # table join the store while it has room.
     slot = np.full(len(keys), -1)
     if ctx.table_slot:
@@ -345,79 +345,58 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
             _ranked(ctx, cv[good], env_cols[good], n_usable[group[good]]))
 
 
-def _worker(ctx: _SearchContext, conn) -> None:
-    """Score the spans that arrive on ``conn`` until the parent closes it."""
-    # Ctrl-C reaches the whole process group; the parent alone reports it.
+def _worker(ctx: _SearchContext, spans, conn) -> None:
+    """Send each span's ``_score_block`` result down ``conn``, in order."""
+    # Ctrl-C reaches the whole process group; the caller alone reports it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _retain_freed_memory()  # a spawned worker does not inherit the settings
-    while True:
-        try:
-            span = conn.recv()
-        except EOFError:
-            return
-        try:
-            result = _score_block(ctx, *span)
-        except Exception as exc:
-            result = exc
-        conn.send(result)
+    try:
+        for span in spans:
+            conn.send(_score_block(ctx, *span))
+    except Exception as exc:
+        conn.send(exc)
 
 
-def _score_pooled(ctx: _SearchContext, spans, n_workers: int,
-                  consume) -> None:
-    """``consume(_score_block(ctx, *span), span)`` for each span, in order,
-    scored by ``n_workers`` processes, started by the default start method,
-    that each take the next span when they are free.
+def _block_results(ctx: _SearchContext, spans, n: int):
+    """Yield ``_score_block(ctx, *span)`` for each span, in order, scored by
+    ``n`` processes: span i by process i % n, where process 0 is the caller.
 
-    Each worker has a pipe of its own, so one that dies holds no lock the
-    others need: its exit is an error at once, and every worker is stopped
-    on the way out.
+    The ``n - 1`` workers start, by the default start method, after span 0:
+    the caller's one-time set-up, such as numpy's lazy imports, in which a
+    Ctrl-C can be lost, is then done, and each worker starts with the
+    tables span 0 stored. Worker w is handed ``spans[w::n]`` and answers
+    on a one-way pipe whose sending end only it holds, so its death is an
+    ``EOFError`` on the next read. Closing the generator stops every worker.
     """
     mp = multiprocessing.get_context()
-    workers = {}                    # parent end of a worker's pipe -> worker
+    workers = []                    # (pipe, process) of processes 1 .. n-1
     try:
-        for _ in range(n_workers):
-            conn, child = mp.Pipe()
-            worker = mp.Process(target=_worker, args=(ctx, child),
-                                daemon=True)
-            worker.start()
-            child.close()
-            workers[conn] = worker
-        sentinels = {w.sentinel: w for w in workers.values()}
-        todo = iter(enumerate(spans))
-        running = {}                # pipe -> index of the span it scores
-        results = {}
-
-        def deal(conn):
-            for i, span in itertools.islice(todo, 1):
-                running[conn] = i
-                conn.send(span)
-
-        def died(worker):
-            worker.join()
-            return BenchselError(f"search worker {worker.pid} died "
-                                 f"(exit code {worker.exitcode})")
-
-        for conn in workers:
-            deal(conn)
         for i, span in enumerate(spans):
-            while i not in results:
-                for ready in connection.wait([*running, *sentinels]):
-                    if ready in sentinels:
-                        raise died(sentinels[ready])
-                    try:    # a pipe fails only when its worker has exited
-                        results[running.pop(ready)] = ready.recv()
-                        deal(ready)
-                    except (EOFError, OSError):
-                        raise died(workers[ready]) from None
-            result = results.pop(i)
+            if i % n == 0:
+                yield _score_block(ctx, *span)
+                continue
+            while len(workers) < n - 1:     # only once, at span 1
+                pipe, child = mp.Pipe(duplex=False)
+                worker = mp.Process(target=_worker, daemon=True, args=(
+                    ctx, spans[len(workers) + 1::n], child))
+                worker.start()
+                child.close()
+                workers.append((pipe, worker))
+            pipe, worker = workers[i % n - 1]
+            try:
+                result = pipe.recv()
+            except EOFError:
+                worker.join()
+                raise BenchselError(f"search worker {worker.pid} died "
+                                    f"(exit code {worker.exitcode})") from None
             if isinstance(result, Exception):
                 raise result
-            consume(result, span)
+            yield result
     finally:
-        for conn, worker in workers.items():
+        for pipe, worker in workers:
             worker.terminate()
             worker.join()
-            conn.close()
+            pipe.close()
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +499,9 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
 
     Every ``subset_size``-combination containing ``must_include`` and
     avoiding ``exclude`` is cross-validated; the ranking ascends by cv_mse
-    with lexicographic environment-name tie-breaks. ``threads`` only
-    controls how rank blocks are dealt out, never the result; the search
-    uses at most one worker per block.
+    with lexicographic environment-name tie-breaks. ``threads`` is the
+    number of processes, this one included, that score rank blocks; it
+    never changes the result, and the search uses at most one per block.
     """
     _retain_freed_memory()
     ctx = _build_context(dataset, config)
@@ -536,27 +515,21 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
     scored = skipped_rows = skipped_singular = 0
     finalists = (np.empty(0), np.empty((0, config.subset_size), np.int64),
                  np.empty(0, np.int64))
-    done = 0
     next_milestone = PROGRESS_STRIDE
-
-    def consume(result, span):
-        nonlocal scored, skipped_rows, skipped_singular, done, next_milestone
-        nonlocal finalists
-        n_scored, n_rows, n_sing, local = result
-        scored += n_scored
-        skipped_rows += n_rows
-        skipped_singular += n_sing
-        finalists = _ranked(ctx, *map(np.concatenate, zip(finalists, local)))
-        done += span[1] - span[0]
-        while done >= next_milestone:
-            progress(next_milestone, total)
-            next_milestone += PROGRESS_STRIDE
-
-    if workers == 1:
-        for span in spans:
-            consume(_score_block(ctx, *span), span)
-    else:
-        _score_pooled(ctx, spans, workers, consume)
+    with closing(_block_results(ctx, spans, workers)) as results:
+        for (_, stop), result in zip(spans, results):
+            n_scored, n_rows, n_sing, local = result
+            scored += n_scored
+            skipped_rows += n_rows
+            skipped_singular += n_sing
+            # A block whose best is above a full list's k-th changes nothing.
+            if len(local[0]) and not (len(finalists[0]) == config.top_k
+                                      and local[0][0] > finalists[0][-1]):
+                finalists = _ranked(
+                    ctx, *map(np.concatenate, zip(finalists, local)))
+            while stop >= next_milestone:
+                progress(next_milestone, total)
+                next_milestone += PROGRESS_STRIDE
 
     def empty_search(message):
         return EmptySearchError(message, skip_stats={

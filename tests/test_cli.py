@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -91,10 +92,10 @@ needs_child_lists = pytest.mark.skipif(
 
 
 def _interrupted_search(tmp_path, interrupt) -> tuple[int, str]:
-    """Run a 2-worker search in a process group of its own, call
-    ``interrupt`` with the parent's pid and its workers' once both workers
-    ignore SIGINT, and return the exit code and stderr once the group has
-    no process left."""
+    """Run a search on three processes, the caller and two workers, in a
+    process group of its own, call ``interrupt`` with the caller's pid and
+    its workers' once both workers ignore SIGINT, and return the exit code
+    and stderr once the group has no process left."""
     # 62 algorithms on the 57 shipped games: C(57, 5) candidates keep two
     # workers busy for several seconds.
     rng = np.random.default_rng(3)
@@ -106,7 +107,7 @@ def _interrupted_search(tmp_path, interrupt) -> tuple[int, str]:
                           for g in games) + "\n" for i in range(62)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "benchsel.cli", "search", "--size", "5",
-         "--threads", "2", "--scores", str(scores),
+         "--threads", "3", "--scores", str(scores),
          "--out", str(tmp_path / "out"), "--quiet"],
         env=_src_env(), stderr=subprocess.PIPE, text=True,
         start_new_session=True)
@@ -208,6 +209,25 @@ def test_spawned_workers_give_the_forked_workers_output(tmp_path):
         outputs[method] = ((out / "ranked.csv").read_bytes(),
                            manifest["notes"])
     assert outputs["spawn"] == outputs["fork"]
+
+
+def test_search_leaves_no_process_behind(tmp_path):
+    # The caller and two workers score the demo size-3 search's 12 blocks
+    # of 40; every worker is stopped before the command exits.
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", START_METHOD_SEARCH,
+             multiprocessing.get_start_method(), "search", "--size", "3",
+             "--threads", "3", *map(str, DEMO_FILTERS),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            env=_src_env(), stdout=subprocess.DEVNULL, stderr=err,
+            start_new_session=True)
+        assert proc.wait(timeout=120) == 0, (tmp_path / "stderr").read_text()
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)  # fails once the group is empty
+    except ProcessLookupError:
+        return
+    pytest.fail("a process of the search outlived it")
 
 
 class TestSearchCommand:
@@ -521,6 +541,21 @@ class TestAnalyzeCommands:
                   "--out", tmp / "fair", "--quiet"])
         assert rc == 0
         assert "checksum" in capsys.readouterr().err
+
+    def test_fairness_true_summary_ignores_table_flags(self, tmp_path):
+        # --min-games and --target only shape summaries computed from the
+        # table; given a true-summary column, they change nothing.
+        outputs = []
+        for flags in (["--min-games", "10"],
+                      ["--min-games", "50", "--target", "mean"]):
+            out = tmp_path / flags[1]
+            assert run(["analyze", "fairness", "--model", "atari5",
+                        "--scores", fixtures.demo_scores_path(),
+                        "--true-summary", "median57",
+                        "--ignore-columns", "median57", *flags,
+                        "--out", out, "--quiet"]) == 0
+            outputs.append((out / "fairness.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("alpha", ["7", "nan", "-1", "0", "1"])
     def test_fairness_bad_alpha_exits_one_with_one_line(self, toy_inputs,

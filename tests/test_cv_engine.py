@@ -260,7 +260,7 @@ def default_rankings():
 
 @settings(max_examples=16, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(block=st.integers(1, 100), threads=st.sampled_from([1, 2]),
+@given(block=st.integers(1, 100), threads=st.sampled_from([1, 2, 3]),
        gaps=st.sampled_from(sorted(_INVARIANCE_DATA)),
        engine=st.sampled_from(ALL_ENGINES))
 def test_bit_identical_across_block_sizes_and_workers(default_rankings, block,
@@ -381,7 +381,9 @@ def test_top_k_cut_inside_an_exact_tie(top_k):
     every.sort(key=lambda c: (c[1], sorted(c[0])))
     assert every[top_k - 1][1] == every[top_k][1]
     config = replace(config, top_k=top_k)
-    for block in (None, 40):
+    # In blocks of one, a tied twin arrives after the list is full and must
+    # still be merged.
+    for block in (None, 1, 40):
         for threads in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
                 if block:

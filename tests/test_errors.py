@@ -8,7 +8,7 @@ import pytest
 
 from benchsel import errors
 from benchsel.errors import SingularMatrixError
-from benchsel.search import _score_pooled
+from benchsel.search import _block_results
 
 # Constructor arguments for every error class the module defines.
 EXAMPLES = {
@@ -45,8 +45,9 @@ def test_round_trip_keeps_type_message_and_attributes(cls, args):
 
 
 def test_worker_error_reaches_caller_unchanged(monkeypatch):
-    # The forked workers inherit the patched module, so the second span's
-    # worker raises and pickles its error back to the parent.
+    # The caller scores the first span. The forked worker inherits the
+    # patched module, so it raises on the second span and pickles its error
+    # back to the caller.
     def score(ctx, start, stop):
         if start == 1:
             raise SingularMatrixError("Pong")
@@ -55,8 +56,8 @@ def test_worker_error_reaches_caller_unchanged(monkeypatch):
     monkeypatch.setattr("benchsel.search._score_block", score)
     consumed = []
     with pytest.raises(SingularMatrixError) as caught:
-        _score_pooled(None, [(0, 1), (1, 2), (2, 3)], 2,
-                      lambda result, span: consumed.append(result))
+        for result in _block_results(None, [(0, 1), (1, 2), (2, 3)], 2):
+            consumed.append(result)
     assert type(caught.value) is SingularMatrixError
     assert str(caught.value) == str(SingularMatrixError("Pong"))
     assert caught.value.column == "Pong"
