@@ -38,6 +38,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+# numpy loads its random module lazily; importing it here keeps that out of
+# a search's first block, where a Ctrl-C landing in the import is lost.
+import numpy.random  # noqa: F401
 
 from .data import EnvironmentIndex
 from .errors import EnvironmentLookupError, SingularMatrixError, ValidationError

@@ -7,9 +7,11 @@ n - 1 workers, process i % n scores interval i: it unranks the interval to
 index arrays and scores the whole block at once with the one CV kernel,
 ``linreg._fold_tables`` and ``linreg._cv_mse_tabled``.
 
+Every column index is one of the search's own matrix: its games, forced
+and pool, in dataset order, the ones column if fitted, then the target.
 A block groups its candidates by usable-row mask, the AND of their
 columns' packed availability. A group is scored from a shared table over
-every fittable column when its mask's table is in the process's store.
+every column when its mask's table is in the process's store.
 The store adds the table of a group whose own tables would outweigh it,
 as is common with leaderboard gaps (whole games missing for some
 algorithms), while it has room, and makes its training systems
@@ -58,6 +60,8 @@ from .linreg import (
 
 MAX_ENUMERATION = 1 << 50
 PIPELINE_MIN_ENVIRONMENTS = 15
+PIPELINE_TOP_K = 10  # finalists each pipeline stage keeps
+BANK_MIN_EXTRA_ROWS = 3  # a bank model's usable rows beyond its columns
 PROGRESS_STRIDE = 1_000_000
 # Doubles a search block's largest arrays may take: 450k (3.6 MB) scored
 # fastest at 3, 5 and 10 columns on a Xeon with 2 MiB of L2 per core;
@@ -203,16 +207,16 @@ def _unrank_colex(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
 class _SearchContext:
     """Everything a process needs to score a rank interval; picklable."""
 
-    X: np.ndarray          # (m, n_env + 2) log scores, NaN->0, then a
-                           # ones column and the target column
-    avail: np.ndarray      # (m, n_env) bool, the dataset's ``present``
-    packed: np.ndarray     # (n_env, ceil(m / 64)) uint64, bit i: row i
-    env_names: tuple[str, ...]
-    name_rank: np.ndarray  # (n_env,) column -> rank in sorted(env_names)
+    # Every column index below is a column of X. Its first n columns are
+    # the search's games, forced and pool, in dataset order.
+    X: np.ndarray          # (m, n + 1 or n + 2) log scores, NaN->0, then
+                           # the ones column if fitted, then the target
+    avail: np.ndarray      # (m, n) bool, the games' ``present``
+    packed: np.ndarray     # (n, ceil(m / 64)) uint64, bit i: row i
+    env_names: tuple[str, ...]  # (n,) the games' names
+    name_rank: np.ndarray  # (n,) column -> rank in sorted(env_names)
     pool: np.ndarray       # eligible column indices, ascending
     must_cols: np.ndarray  # forced column indices
-    table_cols: np.ndarray  # a shared table's columns, target last
-    table_col: np.ndarray  # (n_env + 2,) column of X -> table column
     subset_size: int
     with_intercept: bool
     folds: int
@@ -240,11 +244,11 @@ def _block_size(ctx: _SearchContext) -> int:
     return int(max(256, min(32768, WORKING_SET_DOUBLES // per_candidate)))
 
 
-def _shares_table(count: np.ndarray, cols: int, table_cols: int) -> np.ndarray:
+def _shares_table(count: np.ndarray, cols: int, width: int) -> np.ndarray:
     """Whether ``count`` candidates fitting ``cols`` columns on one mask
     would hold more doubles in their own training systems than one shared
-    table over ``table_cols`` columns holds."""
-    return count * cols * (cols + 1) > (table_cols - 1) * table_cols
+    table over ``width`` columns, target included, holds."""
+    return count * cols * (cols + 1) > (width - 1) * width
 
 
 def _ranked(ctx: _SearchContext, cv: np.ndarray, env_cols: np.ndarray,
@@ -281,8 +285,7 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
         forced = np.broadcast_to(ctx.must_cols, (n_block, len(ctx.must_cols)))
         env_cols = np.sort(np.concatenate([forced, env_cols], axis=1), axis=1)
     # The ones column if fitted, then the target column, which is last.
-    tail = np.arange(ctx.X.shape[1] - 1 - int(ctx.with_intercept),
-                     ctx.X.shape[1])
+    tail = np.arange(ctx.avail.shape[1], ctx.X.shape[1])
     fit_cols = np.concatenate(
         [env_cols, np.broadcast_to(tail, (n_block, len(tail)))], axis=1)
 
@@ -310,13 +313,13 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     slot = np.full(len(keys), -1)
     if ctx.table_slot:
         slot[:] = [ctx.table_slot.get(key.tobytes(), -1) for key in keys]
-    K = len(ctx.table_cols)
+    K = ctx.X.shape[1]
     add = np.flatnonzero((slot < 0) & _shares_table(
         np.bincount(group, minlength=len(keys)), fit_cols.shape[1] - 1, K))
     room = TABLE_CACHE_DOUBLES // _table_doubles(m, K, ctx.folds)
     add = add[:max(0, room - len(ctx.table_slot))]
     if len(add):
-        held, train, n_rows = _fold_tables(ctx.X, usable[add], ctx.table_cols,
+        held, train, n_rows = _fold_tables(ctx.X, usable[add], np.arange(K),
                                            ctx.folds, ctx.seed)
         if ctx.tables:
             held = np.concatenate([ctx.tables[0], held], axis=1)
@@ -331,8 +334,7 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     bad = np.empty((len(keep), ctx.folds), dtype=np.int64)
     if on_shared.any():
         cv[on_shared], bad[on_shared] = _cv_mse_tabled(
-            *ctx.tables, slot[group[on_shared]],
-            ctx.table_col[fit_cols[on_shared]])
+            *ctx.tables, slot[group[on_shared]], fit_cols[on_shared])
     own = ~on_shared
     if own.any():
         cv[own], bad[own] = _cv_mse_tabled(*_fold_tables(
@@ -361,12 +363,11 @@ def _block_results(ctx: _SearchContext, spans, n: int):
     """Yield ``_score_block(ctx, *span)`` for each span, in order, scored by
     ``n`` processes: span i by process i % n, where process 0 is the caller.
 
-    The ``n - 1`` workers start, by the default start method, after span 0:
-    the caller's one-time set-up, such as numpy's lazy imports, in which a
-    Ctrl-C can be lost, is then done, and each worker starts with the
-    tables span 0 stored. Worker w is handed ``spans[w::n]`` and answers
-    on a one-way pipe whose sending end only it holds, so its death is an
-    ``EOFError`` on the next read. Closing the generator stops every worker.
+    The ``n - 1`` workers start, by the default start method, after span 0,
+    so each starts with the tables span 0 stored. Worker w is handed
+    ``spans[w::n]`` and answers on a one-way pipe whose sending end only it
+    holds, so its death is an ``EOFError`` on the next read. Closing the
+    generator stops every worker.
     """
     mp = multiprocessing.get_context()
     workers = []                    # (pipe, process) of processes 1 .. n-1
@@ -424,17 +425,11 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
         raise ValidationError(
             f"subset_size {config.subset_size} exceeds the {MAX_COLUMNS}"
             "-column solver limit")
-    m, n = dataset.log_scores.shape
-    X = np.ones((m, n + 2))
-    X[:, :n] = np.nan_to_num(dataset.log_scores, nan=0.0)
-    X[:, n + 1] = dataset.targets
-
-    must_cols = np.array(sorted(map(dataset.index.position,
-                                    config.must_include)), dtype=np.int64)
     excluded = set(map(dataset.index.position, config.exclude))
-    pool = np.array([j for j in range(n)
-                     if j not in excluded and j not in set(must_cols)],
-                    dtype=np.int64)
+    games = [j for j in range(dataset.n_environments) if j not in excluded]
+    forced = np.isin(games, list(map(dataset.index.position,
+                                     config.must_include)))
+    must_cols, pool = np.flatnonzero(forced), np.flatnonzero(~forced)
     k_free = config.subset_size - len(must_cols)
     if len(pool) < k_free:
         raise ValidationError(
@@ -443,27 +438,26 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
     if math.comb(len(pool), k_free) > MAX_ENUMERATION:
         raise ValidationError("search space too large to enumerate exhaustively")
 
-    cols_fit = config.subset_size + int(config.with_intercept)
-    table_cols = np.concatenate([np.sort(np.concatenate([pool, must_cols])),
-                                 [n] if config.with_intercept else [],
-                                 [n + 1]]).astype(np.int64)
-    table_col = np.full(n + 2, -1, dtype=np.int64)
-    table_col[table_cols] = np.arange(len(table_cols))
-    packed = np.packbits(np.pad(dataset.present, ((0, -m % 64), (0, 0))),
+    m = dataset.n_algorithms
+    X = np.column_stack([np.nan_to_num(dataset.log_scores[:, games], nan=0.0),
+                         np.ones((m, int(config.with_intercept))),
+                         dataset.targets])
+    avail = dataset.present[:, games]
+    packed = np.packbits(np.pad(avail, ((0, -m % 64), (0, 0))),
                          axis=0, bitorder="little")
-    by_name = sorted(range(n), key=dataset.environment_ids.__getitem__)
-    name_rank = np.empty(n, dtype=np.int64)
-    name_rank[by_name] = np.arange(n)
+    env_names = tuple(dataset.environment_ids[j] for j in games)
+    by_name = sorted(range(len(games)), key=env_names.__getitem__)
+    name_rank = np.empty(len(games), dtype=np.int64)
+    name_rank[by_name] = np.arange(len(games))
+    cols_fit = config.subset_size + int(config.with_intercept)
     return _SearchContext(
         X=X,
-        avail=dataset.present,
+        avail=avail,
         packed=np.ascontiguousarray(packed.T).view(np.uint64),
-        env_names=dataset.environment_ids,
+        env_names=env_names,
         name_rank=name_rank,
         pool=pool,
         must_cols=must_cols,
-        table_cols=table_cols,
-        table_col=table_col,
         subset_size=config.subset_size,
         with_intercept=config.with_intercept,
         folds=config.folds,
@@ -572,8 +566,7 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
 # The nested selection pipeline.
 
 def nested_pipeline(dataset: PreparedDataset, folds: int = 10, seed: int = 0, *,
-                    threads: int = 1, progress=None,
-                    top_k: int = 10) -> SubsetSuite:
+                    threads: int = 1, progress=None) -> SubsetSuite:
     """Run the ordered subset searches that produce the named suite.
 
     Stage order: the best size-5 subset overall; the best size-3 inside it;
@@ -596,7 +589,7 @@ def nested_pipeline(dataset: PreparedDataset, folds: int = 10, seed: int = 0, *,
         nonlocal workers
         config = SearchConfig(subset_size=size, must_include=tuple(must),
                               exclude=tuple(exclude), folds=folds, seed=seed,
-                              top_k=top_k)
+                              top_k=PIPELINE_TOP_K)
         try:
             result = enumerate_and_score(dataset, config, threads=threads,
                                          progress=progress)
@@ -644,14 +637,13 @@ def _check_nesting(suite: SubsetSuite) -> None:
 # ---------------------------------------------------------------------------
 # Per-environment prediction models.
 
-def per_game_models(dataset: PreparedDataset, subset,
-                    min_extra: int = 3) -> ModelBank:
+def per_game_models(dataset: PreparedDataset, subset) -> ModelBank:
     """Fit one intercept-bearing model per environment from a fixed subset.
 
     Environments inside the subset get exact identity models (coefficient 1
     on themselves, intercept 0) rather than fitted ones. An environment
-    with fewer than ``len(subset) + min_extra`` usable algorithms is
-    flagged unusable instead of aborting the bank.
+    with fewer than ``len(subset) + BANK_MIN_EXTRA_ROWS`` usable
+    algorithms is flagged unusable instead of aborting the bank.
     """
     subset_cols = [dataset.index.position(e) for e in subset]
     subset_names = tuple(dataset.environment_ids[j] for j in subset_cols)
@@ -662,7 +654,7 @@ def per_game_models(dataset: PreparedDataset, subset,
     models: dict[str, LinearModel] = {}
     skipped: dict[str, str] = {}
     n_used: dict[str, int] = {}
-    min_rows = len(subset_cols) + min_extra
+    min_rows = len(subset_cols) + BANK_MIN_EXTRA_ROWS
 
     for g, env in enumerate(dataset.environment_ids):
         if g in subset_cols:

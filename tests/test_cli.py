@@ -91,11 +91,9 @@ needs_child_lists = pytest.mark.skipif(
     reason="needs /proc child lists")
 
 
-def _interrupted_search(tmp_path, interrupt) -> tuple[int, str]:
-    """Run a search on three processes, the caller and two workers, in a
-    process group of its own, call ``interrupt`` with the caller's pid and
-    its workers' once both workers ignore SIGINT, and return the exit code
-    and stderr once the group has no process left."""
+def _start_wide_search(tmp_path, threads: int) -> subprocess.Popen:
+    """Start a size-5 search on ``threads`` processes in a process group
+    of its own, writing to ``tmp_path / "out"``."""
     # 62 algorithms on the 57 shipped games: C(57, 5) candidates keep two
     # workers busy for several seconds.
     rng = np.random.default_rng(3)
@@ -105,12 +103,20 @@ def _interrupted_search(tmp_path, interrupt) -> tuple[int, str]:
                       + "".join(f"a{i}," + ",".join(
                           str(g.random + rng.uniform(0, 2) * (g.human - g.random))
                           for g in games) + "\n" for i in range(62)))
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "benchsel.cli", "search", "--size", "5",
-         "--threads", "3", "--scores", str(scores),
+         "--threads", str(threads), "--scores", str(scores),
          "--out", str(tmp_path / "out"), "--quiet"],
         env=_src_env(), stderr=subprocess.PIPE, text=True,
         start_new_session=True)
+
+
+def _interrupted_search(tmp_path, interrupt) -> tuple[int, str]:
+    """Run a search on three processes, the caller and two workers, in a
+    process group of its own, call ``interrupt`` with the caller's pid and
+    its workers' once both workers ignore SIGINT, and return the exit code
+    and stderr once the group has no process left."""
+    proc = _start_wide_search(tmp_path, threads=3)
     try:
         deadline = time.monotonic() + 60
         while not (len(workers := _children(proc.pid)) == 2
@@ -136,6 +142,25 @@ def test_ctrl_c_exits_130_with_one_line_and_no_workers(tmp_path):
     returncode, err = _interrupted_search(
         tmp_path, lambda pid, workers: os.killpg(pid, signal.SIGINT))
     assert returncode == 130  # as after Ctrl-C, which signals the group
+    assert err.splitlines() == ["benchsel: error: interrupted"]
+
+
+def test_ctrl_c_in_a_one_process_search_exits_130(tmp_path):
+    # The signal lands while the table loads or in the first blocks; a
+    # lazy import there would swallow it and let the search run to the end.
+    proc = _start_wide_search(tmp_path, threads=1)
+    try:
+        deadline = time.monotonic() + 60
+        while not (tmp_path / "out").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        os.killpg(proc.pid, signal.SIGINT)
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
     assert err.splitlines() == ["benchsel: error: interrupted"]
 
 

@@ -202,16 +202,24 @@ def test_unrank_colex_is_the_colex_bijection(n, data):
        missing=st.sampled_from([0.0, 0.05, 0.15]),
        gaps=st.sampled_from(["iid", "block"]),
        folds=st.integers(2, 10), size=st.integers(1, 3),
-       with_intercept=st.booleans(), engine=st.sampled_from(ALL_ENGINES))
+       with_intercept=st.booleans(), engine=st.sampled_from(ALL_ENGINES),
+       games=st.permutations(range(6)), force=st.booleans())
 def test_engine_matches_lstsq_oracle(seed, m, missing, gaps, folds, size,
-                                     with_intercept, engine):
+                                     with_intercept, engine, games, force):
+    # One game excluded and, optionally, another forced: the oracle reads
+    # ``ds`` by name, so a search's columns must be the games they name.
     ds = make_dataset(m=m, n=6, seed=seed, missing_fraction=missing,
                       gaps=gaps, signal={0: 0.5, 2: 0.3, 5: 0.2})
+    excluded = ds.environment_ids[games[0]]
+    forced = (ds.environment_ids[games[1]],) if force else ()
     config = SearchConfig(subset_size=size, folds=folds, seed=seed,
-                          with_intercept=with_intercept, top_k=100)
+                          with_intercept=with_intercept, top_k=100,
+                          must_include=forced, exclude=(excluded,))
     with cv_engine(engine):
         result = enumerate_and_score(ds, config, progress=silent)
+    assert result.total_candidates == math.comb(5 - force, size - force)
     for cand in result.ranked:
+        assert excluded not in cand.subset and set(forced) <= set(cand.subset)
         cols = [ds.index.position(e) for e in cand.subset]
         usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
         expected = lstsq_cv_mse(ds.log_scores[np.ix_(usable, cols)],

@@ -81,9 +81,9 @@ def test_search_config_include_and_exclude(data):
                           must_include=(data.draw(respelled(NAMES[j])),),
                           exclude=(data.draw(respelled(NAMES[k])),))
     context = _build_context(DATASET, config)
-    assert context.must_cols.tolist() == [j]
-    assert sorted(context.pool.tolist()) == sorted(
-        set(range(len(NAMES))) - {j, k})
+    assert [context.env_names[c] for c in context.must_cols] == [NAMES[j]]
+    assert [context.env_names[c] for c in context.pool] == [
+        name for name in NAMES if name not in (NAMES[j], NAMES[k])]
 
 
 @PROPERTY

@@ -1,8 +1,8 @@
 """The benchmark's tracer and the demo scripts keep working, the CLI
-starts without loading scipy or numpy.ma, name matching stays in the data
-module and the fold layout in linreg, no environment variable is read,
-score tables load without holding the file, and CV blocks reuse freed
-memory.
+starts without loading scipy or numpy.ma, a search imports no module,
+name matching stays in the data module and the fold layout in linreg, no
+environment variable is read, score tables load without holding the file,
+and CV blocks reuse freed memory.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
@@ -150,6 +150,29 @@ def test_loading_and_preparing_leaves_numpy_ma_unloaded(tmp_path):
     proc = _run(["-c", PREPARE_DEMO], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+FIRST_SEARCH = """
+import sys
+import benchsel.cli
+from benchsel import fixtures
+from benchsel.data import load_norms, load_scores_with_values, prepare_dataset
+from benchsel.search import SearchConfig, enumerate_and_score
+table, _ = load_scores_with_values(fixtures.demo_scores_path(), ("median57",))
+dataset = prepare_dataset(table, load_norms(fixtures.normalization_path()),
+                          min_games=10, min_algorithms=10)
+before = set(sys.modules)
+enumerate_and_score(dataset, SearchConfig(subset_size=2, folds=5))
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_first_search_imports_no_module(tmp_path):
+    # A Ctrl-C that lands in a module's import can be lost, so a search
+    # imports nothing: numpy.random loads with linreg, not in block 0.
+    proc = _run(["-c", FIRST_SEARCH], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _sources():
