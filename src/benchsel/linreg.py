@@ -19,15 +19,16 @@ systems are solved in one batched call. One kernel does it all:
 holding its rows' held-out values and training systems over some columns,
 and ``_cv_mse_tabled`` scores candidates from them. A table serves either
 one candidate (``cross_validated_mse``, and a search's candidates with
-few others on their usable-row mask) or, from a search worker's store,
-every candidate sharing a mask (a table over every column the search can
-fit). Both give bit-identical results.
+few others on their usable-row mask) or, written into a slot of a search
+process's store, every candidate sharing a mask (a table over every
+column the search can fit). Both give bit-identical results.
 
 This module alone owns the fold layout. A table's n usable rows are dealt
 into folds by ``fold_assignment(n, folds, seed)``, so which ranks each
 fold holds out depends only on n; ``_fold_layout`` caches that per n, and
 fold sizes follow from n in closed form (``_fold_sizes``). Callers pass
-masks and never see ranks, slots, padding or fold sizes.
+masks and never see ranks, held-out slots, padding or fold sizes; a
+store sizes its slots by ``_table_shape``.
 """
 
 from __future__ import annotations
@@ -360,15 +361,13 @@ def _held_out_rows(usable: np.ndarray, n_rows: np.ndarray, folds: int,
         row_of_rank, ranks.reshape(M, -1), axis=1).reshape(ranks.shape)
 
 
-def _table_doubles(R: int, K: int, folds: int) -> int:
-    """Doubles one table of ``_fold_tables(Z, usable, cols, folds, ·)``
-    holds, for ``Z`` of R rows and K columns in ``cols``."""
-    return (-(-R // folds) + K - 1) * K * folds
+def _table_shape(R: int, K: int, folds: int) -> tuple[int, int, int]:
+    """Shape of one ``out`` slot of ``_fold_tables`` for R rows, K columns."""
+    return -(-R // folds) + K - 1, K, folds
 
 
 def _fold_tables(Z: np.ndarray, usable: np.ndarray, cols: np.ndarray,
-                 folds: int, seed: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 folds: int, seed: int, out: np.ndarray | None = None):
     """Held-out values and downdated training systems for ``_cv_mse_tabled``.
 
     Parameters
@@ -381,18 +380,19 @@ def _fold_tables(Z: np.ndarray, usable: np.ndarray, cols: np.ndarray,
     cols : ndarray, shape (K,) or (M, K)
         The columns of ``Z`` every table, or each table, holds, target
         column last.
+    out : ndarray, shape (M,) + ``_table_shape(R, K, folds)``, optional
+        Slots of a store to write the tables into instead.
 
     Returns
     -------
-    held : ndarray, shape (S, M, K, F)
-        Per held-out slot, table and column, each fold's held-out value,
-        padded with 0; S = ceil(R / F).
-    train : ndarray, shape (M, K - 1, K, F)
-        Per table, the training systems [G | b] of every fold: the product
-        X'[X | t] over the table's rows minus the held-out fold's. It is a
-        view laid out in memory as (M, F, K - 1, K), which suits own
-        tables; a search's store makes tables looked up by mask contiguous
-        once, as it adds them, so that each entry's F folds form one run.
+    tables : (held, train), or ``out``
+        ``held`` (S, M, K, F): per held-out slot, table and column, each
+        fold's held-out value, padded with 0; S = ceil(R / F). ``train``
+        (M, K - 1, K, F): per table, the training systems [G | b] of every
+        fold, the product X'[X | t] over its rows minus the held-out
+        fold's, a view laid out as (M, F, K - 1, K). ``out[i]`` holds
+        ``held[:, i]``, then ``train[i]``, so each entry's F folds form one
+        contiguous run.
     n_rows : ndarray, shape (M,)
         Usable rows per table.
 
@@ -411,20 +411,23 @@ def _fold_tables(Z: np.ndarray, usable: np.ndarray, cols: np.ndarray,
                 + np.reshape(cols, (-1, 1, 1, K)))        # (M, F, S, K)
     G = np.swapaxes(H[..., :-1], -1, -2) @ H              # (M, F, K - 1, K)
     train = np.moveaxis(G.sum(axis=1, keepdims=True) - G, 1, -1)
-    held = np.ascontiguousarray(np.transpose(H, (2, 0, 3, 1)))
-    return held, train, n_rows
+    if out is None:
+        held = np.ascontiguousarray(np.transpose(H, (2, 0, 3, 1)))
+        return (held, train), n_rows
+    out[:, :H.shape[2]] = np.moveaxis(H, 1, -1)
+    out[:, H.shape[2]:] = train
+    return out, n_rows
 
 
-def _cv_mse_tabled(held: np.ndarray, train: np.ndarray,
-                   n_rows: np.ndarray, mask_ids: np.ndarray | None,
-                   cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _cv_mse_tabled(tables, n_rows: np.ndarray, slots=None, cols=None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """k-fold CV of a stack of candidates from ``_fold_tables``.
 
-    ``mask_ids`` (N,) picks each candidate's table and ``cols`` (N, C + 1)
-    its table columns, target last. With both None, table i is candidate
-    i's own, holding exactly the columns it fits, then its target.
-    ``n_rows`` holds each table's usable rows, from which its fold sizes
-    follow (``_fold_sizes``).
+    ``n_rows`` (N,) holds each candidate's usable rows, which fix its fold
+    sizes. Without ``slots``, ``tables`` is as ``_fold_tables`` returns it,
+    table i holding exactly candidate i's columns, target last. Otherwise
+    ``tables`` is a store ``_fold_tables`` wrote into, and ``slots`` (N,)
+    and ``cols`` (N, C + 1) pick each candidate's table and its columns.
 
     Returns
     -------
@@ -434,36 +437,36 @@ def _cv_mse_tabled(held: np.ndarray, train: np.ndarray,
         Per fold, the first rank-deficient column of its training system,
         else -1 (see ``_chol_solve_batched``).
 
-    Own tables are the systems as they stand; from shared tables every
-    entry of [G | b] is one gathered run of F folds. All N x F systems go
-    through one batched solve. Residuals are formed explicitly on held-out
-    rows rather than expanded as t'Pt - 2 beta'b + beta'G beta, which
-    cancels badly on near-exact fits: one fitted column at a time, over
-    every held-out slot, candidate and fold at once. Every step works on
-    fixed per-candidate shapes in one layout, so a candidate's result
-    depends neither on the others in the stack nor on which kind of table
-    holds it.
+    Own tables are the systems as they stand; from a store, every entry of
+    [G | b] and every held-out value is one gathered run of F folds. All
+    N x F systems go through one batched solve. Residuals are formed
+    explicitly on held-out rows rather than expanded as t'Pt - 2 beta'b +
+    beta'G beta, which cancels badly on near-exact fits: one fitted column
+    at a time, over every held-out slot, candidate and fold at once. Every
+    step works on fixed per-candidate shapes in one layout, so a
+    candidate's result depends neither on the others in the stack nor on
+    which kind of table holds it.
     """
-    if mask_ids is None:
+    if slots is None:
+        held, train = tables
         systems = np.moveaxis(train, -1, 1)               # (N, F, C, C + 1)
-        columns = np.moveaxis(held, 2, 0)                 # (C + 1, S, N, F)
+        columns = iter(np.moveaxis(held, 2, 0))           # (C + 1, S, N, F)
     else:
-        M, K1, K, F = train.shape
-        fit, both = cols[:, :-1].T, cols.T                # (C, N), (C + 1, N)
-        entry = mask_ids * (K1 * K) + fit[:, None] * K + both
-        systems = np.moveaxis(np.take(train.reshape(-1, F), entry, axis=0),
+        L, K, F = tables.shape[1:]                        # L = S + K - 1
+        runs = tables.reshape(-1, F)      # (slot * L + row) * K + column
+        at = slots * (L * K) + cols.T                     # (C + 1, N)
+        fit = cols[:, :-1].T[:, None] + (L - K + 1)       # (C, 1, N)
+        systems = np.moveaxis(np.take(runs, at + fit * K, axis=0),
                               (0, 1), (-2, -1))
-        runs = held.reshape(len(held), M * K, F)
-        columns = (np.take(runs, run, axis=1) for run in mask_ids * K + both)
-        n_rows = n_rows[mask_ids]
+        rows = np.arange(L - K + 1)[:, None] * K          # (S, 1)
+        columns = (np.take(runs, rows + run, axis=0) for run in at)
     beta, bad = _chol_solve_batched(systems)
     coef = np.moveaxis(beta, -1, 0)                       # (C, N, F)
-    columns = iter(columns)
     residual = next(columns) * coef[0]                    # (S, N, F)
     for c in coef[1:]:
         residual += next(columns) * c
     residual -= next(columns)
-    fold_sizes = _fold_sizes(n_rows, train.shape[-1])     # (N, F)
+    fold_sizes = _fold_sizes(n_rows, systems.shape[1])    # (N, F)
     cv = ((residual ** 2).sum(axis=0) / fold_sizes).mean(axis=-1)
     return cv, bad
 
@@ -491,7 +494,7 @@ def cross_validated_mse(X, t, folds: int, seed: int,
     design[:, -1] = t
     cv, bad = _cv_mse_tabled(*_fold_tables(
         design, np.ones((1, rows), dtype=bool), np.arange(design.shape[1]),
-        folds, seed), None, None)
+        folds, seed))
     bad_folds = np.flatnonzero(bad[0] != -1)
     if len(bad_folds):
         raise SingularMatrixError(_column_name(

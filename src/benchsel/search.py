@@ -11,17 +11,16 @@ Every column index is one of the search's own matrix: its games, forced
 and pool, in dataset order, the ones column if fitted, then the target.
 A block groups its candidates by usable-row mask, the AND of their
 columns' packed availability. A group is scored from a shared table over
-every column when its mask's table is in the process's store.
-The store adds the table of a group whose own tables would outweigh it,
-as is common with leaderboard gaps (whole games missing for some
-algorithms), while it has room, and makes its training systems
-contiguous once, as it adds it; every other candidate gets a table of
-just its own columns. ``linreg`` alone decides how a mask's rows are
-dealt into folds. Both kinds of table give bit-identical cv_mse, so a
-candidate's result does not depend on its block. Blocks and the merge
-keep finalists as arrays in the total order (cv_mse, sorted environment
-names), so the ranking is bit-identical whatever the worker count or
-block size.
+every column when its mask's table is in the process's store, one slab
+allocated at its first table and written in place. The store adds the
+table of a group whose own tables would outweigh it, as is common with
+leaderboard gaps (whole games missing for some algorithms), while it has
+a free slot; every other candidate gets a table of just its own columns.
+``linreg`` alone decides how a mask's rows are dealt into folds. Both
+kinds of table give bit-identical cv_mse, so a candidate's result does
+not depend on its block. Blocks and the merge keep finalists as arrays
+in the total order (cv_mse, sorted environment names), so the ranking is
+bit-identical whatever the worker count or block size.
 
 Per subset, any algorithm missing one of the required scores is dropped
 for that candidate only. Candidates left with fewer usable algorithms
@@ -54,7 +53,7 @@ from .linreg import (
     LinearModel,
     _cv_mse_tabled,
     _fold_tables,
-    _table_doubles,
+    _table_shape,
     fit_ols,
 )
 
@@ -224,11 +223,10 @@ class _SearchContext:
     top_k: int
     min_rows: int
     comb: np.ndarray       # binomial table for the pool
-    # The store: shared tables this process has built, stacked as
-    # ``linreg._fold_tables`` returns them with ``train`` contiguous, and
-    # each one's packed usable-row mask -> its index in the stack.
+    # The store: packed usable-row mask -> slot, and the slab of slots that
+    # shared tables are written into, allocated whole with the first one.
     table_slot: dict = field(default_factory=dict)
-    tables: tuple = ()
+    tables: np.ndarray | tuple = ()
 
     @property
     def k_free(self) -> int:
@@ -270,10 +268,9 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     Candidates are grouped by usable-row mask. A group whose mask's table
     is in the process's store is scored from that table over every
     fittable column; every other candidate from a table of its own
-    columns. Masks of groups large enough by ``_shares_table`` join the
-    store while it has room within ``TABLE_CACHE_DOUBLES`` doubles, and
-    their tables' ``train`` is made contiguous once, as they join. Both
-    kinds of table give bit-identical cv_mse.
+    columns. The tables of masks whose groups ``_shares_table`` picks are
+    written into the store's free slots, of ``TABLE_CACHE_DOUBLES`` doubles
+    in all. Both kinds of table give bit-identical cv_mse.
 
     Returns (n_scored, n_skipped_rows, n_skipped_singular, finalists)
     where finalists are ``_ranked``'s arrays for the block.
@@ -309,37 +306,34 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     env_cols, fit_cols, group = env_cols[keep], fit_cols[keep], group[keep]
 
     # Each mask's slot in the process's store, or -1; masks worth a shared
-    # table join the store while it has room.
+    # table are written into the next free slots while there are any.
     slot = np.full(len(keys), -1)
     if ctx.table_slot:
         slot[:] = [ctx.table_slot.get(key.tobytes(), -1) for key in keys]
     K = ctx.X.shape[1]
     add = np.flatnonzero((slot < 0) & _shares_table(
         np.bincount(group, minlength=len(keys)), fit_cols.shape[1] - 1, K))
-    room = TABLE_CACHE_DOUBLES // _table_doubles(m, K, ctx.folds)
-    add = add[:max(0, room - len(ctx.table_slot))]
+    if len(add) and not ctx.table_slot:     # the first table: allocate all
+        one = _table_shape(m, K, ctx.folds)
+        ctx.tables = np.empty((TABLE_CACHE_DOUBLES // math.prod(one), *one))
+    add = add[:len(ctx.tables) - len(ctx.table_slot)]
     if len(add):
-        held, train, n_rows = _fold_tables(ctx.X, usable[add], np.arange(K),
-                                           ctx.folds, ctx.seed)
-        if ctx.tables:
-            held = np.concatenate([ctx.tables[0], held], axis=1)
-            train = np.concatenate([ctx.tables[1], train])
-            n_rows = np.concatenate([ctx.tables[2], n_rows])
-        ctx.tables = held, np.ascontiguousarray(train), n_rows
-        slot[add] = np.arange(len(ctx.table_slot), len(n_rows))
+        slot[add] = range(len(ctx.table_slot), len(ctx.table_slot) + len(add))
+        _fold_tables(ctx.X, usable[add], np.arange(K), ctx.folds, ctx.seed,
+                     ctx.tables[slot[add[0]]:slot[add[-1]] + 1])
         ctx.table_slot.update((keys[i].tobytes(), int(slot[i])) for i in add)
 
     on_shared = slot[group] >= 0
     cv = np.empty(len(keep))
     bad = np.empty((len(keep), ctx.folds), dtype=np.int64)
     if on_shared.any():
+        shared = group[on_shared]
         cv[on_shared], bad[on_shared] = _cv_mse_tabled(
-            *ctx.tables, slot[group[on_shared]], fit_cols[on_shared])
+            ctx.tables, n_usable[shared], slot[shared], fit_cols[on_shared])
     own = ~on_shared
     if own.any():
         cv[own], bad[own] = _cv_mse_tabled(*_fold_tables(
-            ctx.X, usable[group[own]], fit_cols[own], ctx.folds, ctx.seed),
-            None, None)
+            ctx.X, usable[group[own]], fit_cols[own], ctx.folds, ctx.seed))
 
     good = (bad == -1).all(axis=1) & np.isfinite(cv)
     n_scored = int(good.sum())
@@ -347,14 +341,17 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
             _ranked(ctx, cv[good], env_cols[good], n_usable[group[good]]))
 
 
-def _worker(ctx: _SearchContext, spans, conn) -> None:
+def _worker(ctx: _SearchContext, spans, pipe, conn) -> None:
     """Send each span's ``_score_block`` result down ``conn``, in order."""
     # Ctrl-C reaches the whole process group; the caller alone reports it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _retain_freed_memory()  # a spawned worker does not inherit the settings
+    pipe.close()  # the caller's end of conn: a forked copy keeps it open
     try:
         for span in spans:
             conn.send(_score_block(ctx, *span))
+    except BrokenPipeError:  # the caller is gone, whether it listed us or not
+        return
     except Exception as exc:
         conn.send(exc)
 
@@ -363,26 +360,26 @@ def _block_results(ctx: _SearchContext, spans, n: int):
     """Yield ``_score_block(ctx, *span)`` for each span, in order, scored by
     ``n`` processes: span i by process i % n, where process 0 is the caller.
 
-    The ``n - 1`` workers start, by the default start method, after span 0,
-    so each starts with the tables span 0 stored. Worker w is handed
-    ``spans[w::n]`` and answers on a one-way pipe whose sending end only it
-    holds, so its death is an ``EOFError`` on the next read. Closing the
-    generator stops every worker.
+    The ``n - 1`` workers start, by the default start method, before span
+    0, so each starts with an empty store and none is ever sent one. Worker
+    w is handed ``spans[w::n]`` and answers on a one-way pipe whose sending
+    end only it holds, so its death is an ``EOFError`` on the next read.
+    Closing the generator stops every worker.
     """
     mp = multiprocessing.get_context()
     workers = []                    # (pipe, process) of processes 1 .. n-1
     try:
+        for w in range(1, n):
+            pipe, child = mp.Pipe(duplex=False)
+            worker = mp.Process(target=_worker, daemon=True,
+                                args=(ctx, spans[w::n], pipe, child))
+            worker.start()
+            child.close()
+            workers.append((pipe, worker))
         for i, span in enumerate(spans):
             if i % n == 0:
                 yield _score_block(ctx, *span)
                 continue
-            while len(workers) < n - 1:     # only once, at span 1
-                pipe, child = mp.Pipe(duplex=False)
-                worker = mp.Process(target=_worker, daemon=True, args=(
-                    ctx, spans[len(workers) + 1::n], child))
-                worker.start()
-                child.close()
-                workers.append((pipe, worker))
             pipe, worker = workers[i % n - 1]
             try:
                 result = pipe.recv()

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import multiprocessing
 import os
@@ -91,9 +92,11 @@ needs_child_lists = pytest.mark.skipif(
     reason="needs /proc child lists")
 
 
-def _start_wide_search(tmp_path, threads: int) -> subprocess.Popen:
+def _start_wide_search(tmp_path, threads: int,
+                       launcher=("-m", "benchsel.cli")) -> subprocess.Popen:
     """Start a size-5 search on ``threads`` processes in a process group
-    of its own, writing to ``tmp_path / "out"``."""
+    of its own, writing to ``tmp_path / "out"``, by running Python with
+    ``launcher`` and the command's arguments."""
     # 62 algorithms on the 57 shipped games: C(57, 5) candidates keep two
     # workers busy for several seconds.
     rng = np.random.default_rng(3)
@@ -104,27 +107,32 @@ def _start_wide_search(tmp_path, threads: int) -> subprocess.Popen:
                           str(g.random + rng.uniform(0, 2) * (g.human - g.random))
                           for g in games) + "\n" for i in range(62)))
     return subprocess.Popen(
-        [sys.executable, "-m", "benchsel.cli", "search", "--size", "5",
+        [sys.executable, *launcher, "search", "--size", "5",
          "--threads", str(threads), "--scores", str(scores),
          "--out", str(tmp_path / "out"), "--quiet"],
         env=_src_env(), stderr=subprocess.PIPE, text=True,
         start_new_session=True)
 
 
-def _interrupted_search(tmp_path, interrupt) -> tuple[int, str]:
+def _interrupted_search(tmp_path, interrupt, launcher=("-m", "benchsel.cli"),
+                        started=2) -> tuple[int, str]:
     """Run a search on three processes, the caller and two workers, in a
     process group of its own, call ``interrupt`` with the caller's pid and
-    its workers' once both workers ignore SIGINT, and return the exit code
-    and stderr once the group has no process left."""
-    proc = _start_wide_search(tmp_path, threads=3)
+    its workers' once ``started`` workers ignore SIGINT, and return the
+    exit code and stderr once the group has no process left."""
+    proc = _start_wide_search(tmp_path, 3, launcher)
     try:
         deadline = time.monotonic() + 60
-        while not (len(workers := _children(proc.pid)) == 2
+        while not (len(workers := _children(proc.pid)) == started
                    and all(map(_ignores_sigint, workers))):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
         interrupt(proc.pid, workers)
         err = proc.communicate(timeout=60)[1]
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):  # workers too
+            os.killpg(proc.pid, signal.SIGKILL)
+        raise
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
@@ -161,6 +169,32 @@ def test_ctrl_c_in_a_one_process_search_exits_130(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     assert proc.returncode == 130
+    assert err.splitlines() == ["benchsel: error: interrupted"]
+
+
+LINGERING_FORK_SEARCH = """
+import multiprocessing, sys, time
+from multiprocessing import popen_fork
+multiprocessing.set_start_method("fork")
+launch = popen_fork.Popen._launch
+def lingering_launch(self, process_obj):
+    launch(self, process_obj)  # only the caller returns from it
+    time.sleep(60)
+popen_fork.Popen._launch = lingering_launch
+from benchsel import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@needs_child_lists
+def test_ctrl_c_before_a_worker_is_listed_leaves_no_worker(tmp_path):
+    # The caller lingers in ``Process.start`` right after forking its first
+    # worker, so the interrupt lands before the search has listed that
+    # worker to stop; it must leave once the caller is gone.
+    returncode, err = _interrupted_search(
+        tmp_path, lambda pid, workers: os.killpg(pid, signal.SIGINT),
+        launcher=("-c", LINGERING_FORK_SEARCH), started=1)
+    assert returncode == 130
     assert err.splitlines() == ["benchsel: error: interrupted"]
 
 

@@ -301,9 +301,9 @@ def _kernel_calls(gaps):
     calls = []
     kernel = search._cv_mse_tabled
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_cv_mse_tabled", lambda held, train, n_rows, ids,
-                   cols: calls.append(ids is not None)
-                   or kernel(held, train, n_rows, ids, cols))
+        mp.setattr(search, "_cv_mse_tabled", lambda tables, n_rows,
+                   slots=None, cols=None: calls.append(slots is not None)
+                   or kernel(tables, n_rows, slots, cols))
         _ranking(gaps, "rule")
     return calls
 

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from benchsel.search import (
     SearchConfig,
     _block_size,
     _build_context,
+    _fold_tables,
     _score_block,
     enumerate_and_score,
     nested_pipeline,
@@ -207,13 +210,15 @@ def _listing(result):
     return [(c.subset, c.cv_mse, c.n_algorithms_used) for c in result.ranked]
 
 
-def _score_every_block(ctx):
-    """Score every block of ``ctx``'s search in this process; returns
-    ``ctx``, its table store filled."""
+def _score_every_block(ctx, block=None, after_block=lambda ctx: None):
+    """Score every block of ``ctx``'s search in this process, in blocks of
+    ``block`` candidates (default ``_block_size``), calling ``after_block``
+    after each; returns ``ctx``, its table store filled."""
     total = math.comb(len(ctx.pool), ctx.k_free)
-    block = _block_size(ctx)
+    block = block or _block_size(ctx)
     for start in range(0, total, block):
         _score_block(ctx, start, min(start + block, total))
+        after_block(ctx)
     return ctx
 
 
@@ -225,34 +230,53 @@ class TestMaskTables:
                           gaps="block")
         ctx = _score_every_block(
             _build_context(ds, SearchConfig(subset_size=5)))
-        held, train, n_rows = ctx.tables
         # Three gapped classes: every set of them is a reachable mask.
         assert 0 < len(ctx.table_slot) <= 8
-        assert sorted(ctx.table_slot.values()) == list(range(len(n_rows)))
-        assert train.flags.c_contiguous
+        assert sorted(ctx.table_slot.values()) == list(
+            range(len(ctx.table_slot)))
+        # 30 games and the target; 10 folds of at most 7 held-out rows,
+        # then 30 training rows.
+        assert ctx.tables.shape[1:] == (7 + 30, 31, 10)
+        assert ctx.tables.flags.c_contiguous
+        assert ctx.tables.size <= TABLE_CACHE_DOUBLES
         for key, slot in ctx.table_slot.items():
             mask = np.unpackbits(np.frombuffer(key, dtype=np.uint8),
-                                 count=62, bitorder="little")
-            assert n_rows[slot] == mask.sum()
-            # 30 games and the target, 10 folds of at most 7 rows.
-            assert held[:, slot].shape == (7, 31, 10)
-            assert train[slot].shape == (30, 31, 10)
-        assert held.size + train.size <= TABLE_CACHE_DOUBLES
+                                 count=62, bitorder="little").view(bool)
+            (held, train), _ = _fold_tables(ctx.X, mask[None],
+                                            np.arange(31), 10, 0)
+            assert np.array_equal(ctx.tables[slot, :7], held[:, 0])
+            assert np.array_equal(ctx.tables[slot, 7:], train[0])
+
+    def test_store_is_allocated_once(self):
+        # In blocks of 200, later blocks add tables to the store too; it
+        # is written in place, never grown or copied.
+        ds = make_dataset(m=62, n=20, seed=50, missing_fraction=0.1,
+                          gaps="block")
+        stored, buffers = [], set()
+
+        def record(ctx):
+            stored.append(len(ctx.table_slot))
+            if ctx.table_slot:
+                buffers.add(ctx.tables.ctypes.data)
+
+        _score_every_block(_build_context(ds, SearchConfig(subset_size=5)),
+                           block=200, after_block=record)
+        assert len(set(stored) - {0}) > 2  # tables added by 3+ blocks
+        assert len(buffers) == 1
 
     def test_capped_store_ranks_as_uncapped(self, monkeypatch):
         # Room for two tables: later large groups take tables of their own.
         ds = make_dataset(m=62, n=20, seed=50, missing_fraction=0.1,
                           gaps="block")
         config = SearchConfig(subset_size=5, top_k=1000)
-        held, train, n_rows = _score_every_block(
-            _build_context(ds, config)).tables
-        assert len(n_rows) > 2
+        ctx = _score_every_block(_build_context(ds, config))
+        assert len(ctx.table_slot) > 2
         uncapped = enumerate_and_score(ds, config, progress=silent)
         monkeypatch.setattr(search, "TABLE_CACHE_DOUBLES",
-                            2 * (held[:, 0].size + train[0].size))
+                            2 * ctx.tables[0].size)
         ctx = _score_every_block(_build_context(ds, config))
         assert sorted(ctx.table_slot.values()) == [0, 1]
-        assert len(ctx.tables[2]) == 2
+        assert len(ctx.tables) == 2
         capped = enumerate_and_score(ds, config, progress=silent)
         monkeypatch.setattr(search, "_shares_table",
                             lambda count, *_: np.zeros(len(count), bool))
@@ -268,6 +292,36 @@ class TestMaskTables:
         ctx = _build_context(ds, SearchConfig(subset_size=5))
         ctx = _score_every_block(ctx)
         assert ctx.table_slot == {} and ctx.tables == ()
+
+    @pytest.mark.parametrize("method", [None, "spawn"])
+    def test_workers_start_before_any_table_exists(self, monkeypatch,
+                                                   method):
+        # The caller's first block stores tables; a worker started after
+        # it would be sent the store, allocated at capacity, with its ctx.
+        ds = make_dataset(m=62, n=20, seed=50, missing_fraction=0.1,
+                          gaps="block")
+        config = SearchConfig(subset_size=5, top_k=1000)
+        serial = enumerate_and_score(ds, config, threads=1, progress=silent)
+        context = multiprocessing.get_context(method)
+        sent = []
+
+        class Recording:
+            """``context``, recording each worker's ctx as pickled."""
+            Pipe = staticmethod(context.Pipe)
+
+            @staticmethod
+            def Process(args, **kwargs):
+                sent.append(pickle.loads(pickle.dumps(args[0])))
+                return context.Process(args=args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda: Recording)
+        pooled = enumerate_and_score(ds, config, threads=3, progress=silent)
+        assert pooled.workers == len(sent) + 1 == 3
+        for ctx in sent:
+            assert ctx.table_slot == {} and len(ctx.tables) == 0
+        assert pooled.skip_stats == serial.skip_stats
+        assert _listing(pooled) == _listing(serial)
 
     def test_every_column_forced(self):
         ds = make_dataset(m=40, n=12, seed=51, missing_fraction=0.2,
@@ -293,8 +347,8 @@ class TestMaskTables:
         # Ten games, the ones column and the target.
         assert ctx.X.shape[1] == 12
         assert ctx.table_slot
-        held, train, _ = ctx.tables
-        assert held.shape[2] == 12 and train.shape[1:3] == (11, 12)
+        # 10 folds of at most 4 held-out rows, then 11 training rows.
+        assert ctx.tables.shape[1:] == (4 + 11, 12, 10)
         result = enumerate_and_score(ds, config, progress=silent)
         for cand in result.ranked:
             cols = [ds.index.position(e) for e in cand.subset]

@@ -256,8 +256,7 @@ usable = rng.random((800, 62)) < 0.9
 cols = np.broadcast_to(np.arange(8), (800, 8))
 for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    linreg._cv_mse_tabled(*linreg._fold_tables(Z, usable, cols, 10, 0),
-                          None, None)
+    linreg._cv_mse_tabled(*linreg._fold_tables(Z, usable, cols, 10, 0))
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
