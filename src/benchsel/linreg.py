@@ -9,12 +9,13 @@ hand-rolled square-root-free Cholesky (L D L') that is
   * pivot-aware: a pivot below 1e-10 of the largest Gram diagonal flags
     that system as rank-deficient instead of raising mid-stack.
 
-The same solver backs the unconstrained fit, the non-negative (active
-set) fit and k-fold cross-validation. Cross-validation downdates: with the
-target stored as the design's last column, one product over each fold's
-held-out rows gives that fold's Gram and right-hand side, every
-training system is the full system minus that, and all candidates x folds
-systems are solved in one batched call. One kernel does it all:
+The same solver backs the unconstrained fit and k-fold cross-validation;
+the non-negative fit hands its one small problem to SciPy's Lawson-Hanson
+solver, which ``fit_nnls`` imports on first use. Cross-validation
+downdates: with the target stored as the design's last column, one product
+over each fold's held-out rows gives that fold's Gram and right-hand side,
+every training system is the full system minus that, and all candidates x
+folds systems are solved in one batched call. One kernel does it all:
 ``_fold_tables`` builds a stack of tables from usable-row masks, each
 holding its rows' held-out values and training systems over some columns,
 and ``_cv_mse_tabled`` scores candidates from them. A table serves either
@@ -209,59 +210,6 @@ def fit_ols(X, t, with_intercept: bool = False,
     )
 
 
-def _nnls_active_set(A: np.ndarray, y: np.ndarray, environment_ids) -> np.ndarray:
-    """Lawson-Hanson non-negative least squares on the normal equations."""
-    m, n = A.shape
-    augmented = A.T @ np.column_stack([A, y])
-    G, rhs = augmented[:, :n], augmented[:, n]
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = rhs - G @ x
-    tol = 1e-10 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    converged = False
-    for _ in range(3 * max(n, 1) + 10):
-        inactive = ~passive
-        if not inactive.any() or float(w[inactive].max()) <= tol:
-            converged = True
-            break
-        candidates = np.flatnonzero(inactive)
-        passive[candidates[int(np.argmax(w[candidates]))]] = True
-        while True:
-            idx = np.flatnonzero(passive)
-            sub, bad = _chol_solve_batched(
-                augmented[np.ix_(idx, np.append(idx, n))])
-            if bad != -1:
-                raise SingularMatrixError(
-                    _column_name(int(idx[int(bad)]), n, environment_ids))
-            s = np.zeros(n)
-            s[idx] = sub
-            if sub.min() > 0.0:
-                x = s
-                break
-            # Step from x toward s until the first passive coefficient
-            # hits zero, then retire it from the passive set.
-            blocking = passive & (s <= 0.0) & (x - s > 0.0)
-            if not blocking.any():
-                x = np.maximum(s, 0.0)
-                passive &= x > 0.0
-                break
-            alpha = float((x[blocking] / (x[blocking] - s[blocking])).min())
-            x = x + alpha * (s - x)
-            # The blocking coordinate lands at 0 up to rounding; retire it.
-            retired = passive & (x <= 1e-12 * max(1.0, float(np.abs(x).max())))
-            x[retired] = 0.0
-            passive &= ~retired
-        w = rhs - G @ x
-    else:
-        inactive = ~passive
-        converged = (not inactive.any()
-                     or float(w[inactive].max()) <= tol)
-    if not converged:
-        raise ValidationError("non-negative least squares failed to "
-                              "converge; the design is likely degenerate")
-    return x
-
-
 def fit_nnls(X, t, with_intercept: bool = False,
              environment_ids: Sequence[str] | None = None) -> LinearModel:
     """Least squares with every coefficient constrained to be >= 0.
@@ -276,16 +224,29 @@ def fit_nnls(X, t, with_intercept: bool = False,
 
     The intercept, when requested, stays unconstrained: it is profiled out
     by centering the design and target, which leaves an equivalent pure
-    NNLS problem in the coefficients.
+    NNLS problem in the coefficients. That problem goes to SciPy's
+    Lawson-Hanson solver, ``scipy.optimize.nnls``, imported here rather
+    than at module level because loading it takes about half a second,
+    which only the first non-negative fit in a process pays. A design
+    whose columns are numerically dependent gets SciPy's solution, one of
+    the minimizers, rather than SingularMatrixError; a solve that does not
+    converge raises ValidationError.
     """
+    from scipy.optimize import nnls
+
     X, t = _as_design(X, t, with_intercept)
     if with_intercept:
         col_means = X.mean(axis=0)
-        coef = _nnls_active_set(X - col_means, t - t.mean(), environment_ids)
-        intercept = float(t.mean() - col_means @ coef)
+        A, y = X - col_means, t - t.mean()
     else:
-        coef = _nnls_active_set(X, t, environment_ids)
-        intercept = None
+        A, y = X, t
+    try:
+        coef, _ = nnls(A, y)
+    except RuntimeError as exc:
+        raise ValidationError("non-negative least squares failed to "
+                              "converge; the design is likely degenerate"
+                              ) from exc
+    intercept = float(t.mean() - col_means @ coef) if with_intercept else None
     predictions = X @ coef + (intercept or 0.0)
     return LinearModel(
         environment_ids=_default_ids(X.shape[1], environment_ids),

@@ -31,6 +31,7 @@ needs) are skipped and counted, never silently dropped.
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import os
 import signal
@@ -89,6 +90,13 @@ class SearchConfig:
             raise ValidationError("folds must be >= 2")
         if self.top_k < 1:
             raise ValidationError("top_k must be >= 1")
+        cols = self.subset_size + int(self.with_intercept)
+        if cols > MAX_COLUMNS:
+            raise ValidationError(
+                f"subset_size {self.subset_size}"
+                f"{' plus the intercept' if self.with_intercept else ''} "
+                f"fits {cols} columns, over the {MAX_COLUMNS}-column "
+                "solver limit")
         must = EnvironmentIndex(self.must_include)
         if any(e in must for e in self.exclude):
             raise ValidationError("must_include and exclude overlap")
@@ -315,7 +323,12 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
         np.bincount(group, minlength=len(keys)), fit_cols.shape[1] - 1, K))
     if len(add) and not ctx.table_slot:     # the first table: allocate all
         one = _table_shape(m, K, ctx.folds)
-        ctx.tables = np.empty((TABLE_CACHE_DOUBLES // math.prod(one), *one))
+        doubles = TABLE_CACHE_DOUBLES // math.prod(one) * math.prod(one)
+        # A private anonymous map, which numpy does not advise for huge
+        # pages, so memory grows by the slots written, not by 2 MB regions;
+        # mmap refuses a zero length.
+        slab = mmap.mmap(-1, max(doubles, 1) * 8, flags=mmap.MAP_PRIVATE)
+        ctx.tables = np.frombuffer(slab, count=doubles).reshape(-1, *one)
     add = add[:len(ctx.tables) - len(ctx.table_slot)]
     if len(add):
         slot[add] = range(len(ctx.table_slot), len(ctx.table_slot) + len(add))
@@ -418,10 +431,6 @@ def resolve_workers(threads: int) -> int:
 
 def _build_context(dataset: PreparedDataset, config: SearchConfig
                    ) -> _SearchContext:
-    if config.subset_size + int(config.with_intercept) > MAX_COLUMNS:
-        raise ValidationError(
-            f"subset_size {config.subset_size} exceeds the {MAX_COLUMNS}"
-            "-column solver limit")
     excluded = set(map(dataset.index.position, config.exclude))
     games = [j for j in range(dataset.n_environments) if j not in excluded]
     forced = np.isin(games, list(map(dataset.index.position,
@@ -668,9 +677,9 @@ def per_game_models(dataset: PreparedDataset, subset) -> ModelBank:
             skipped[env] = (f"only {len(rows)} usable algorithms "
                             f"(need {min_rows})")
             continue
-        design = np.nan_to_num(X[np.ix_(rows, subset_cols)], nan=0.0)
         try:
-            models[env] = fit_ols(design, X[rows, g], with_intercept=True,
+            models[env] = fit_ols(X[np.ix_(rows, subset_cols)], X[rows, g],
+                                  with_intercept=True,
                                   environment_ids=subset_names)
         except SingularMatrixError as exc:
             skipped[env] = f"singular design ({exc.column})"

@@ -330,6 +330,25 @@ class TestSearchCommand:
         assert rc == 1
         assert "nonexistent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--size", "0"], "subset_size must be >= 1"),
+        (["--size", "3", "--folds", "1"], "folds must be >= 2"),
+        (["--size", "3", "--top-k", "0"], "top_k must be >= 1"),
+        (["--size", "17"], "subset_size 17 fits 17 columns, over the "
+         "16-column solver limit"),
+        (["--size", "16", "--intercept"], "subset_size 16 plus the "
+         "intercept fits 17 columns, over the 16-column solver limit"),
+    ])
+    def test_out_of_range_search_flags_exit_one_with_one_line(
+            self, toy_inputs, capsys, flags, message):
+        scores, norms, tmp = toy_inputs
+        rc = run(["search", "--scores", scores, "--norms", norms,
+                  "--min-games", "5", "--min-algos", "5", "--ignore-columns",
+                  "truecol", *flags, "--out", tmp / "x"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"benchsel: error: {message}"]
+
     def test_usage_error_exits_two(self, toy_inputs):
         scores, norms, _ = toy_inputs
         with pytest.raises(SystemExit) as exc:

@@ -148,6 +148,13 @@ class TestFitOls:
             fit_ols(X, np.arange(10.0),
                     environment_ids=("first", "second", "third"))
 
+    def test_constant_column_names_the_intercept(self):
+        rng = np.random.default_rng(19)
+        X = np.column_stack([rng.normal(size=20), np.full(20, 2.0)])
+        with pytest.raises(SingularMatrixError) as err:
+            fit_ols(X, rng.normal(size=20), with_intercept=True)
+        assert err.value.column == "intercept"
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValidationError):
             fit_ols(np.ones((2, 2)), np.ones(2))
@@ -198,6 +205,36 @@ class TestFitNnls:
             active = coef == 0.0
             assert np.abs(gradient[~active]).max(initial=0.0) <= 1e-8
             assert gradient[active].min(initial=0.0) >= -1e-8
+
+    def test_kkt_conditions_near_collinear_problems(self):
+        # Columns mix two latent factors plus 0.05 noise, so the passive
+        # sets the solver meets are nearly rank-deficient.
+        rng = np.random.default_rng(25)
+        for _ in range(50):
+            rows = int(rng.integers(10, 81))
+            cols = int(rng.integers(1, min(16, rows)))
+            factors = rng.normal(size=(rows, 2))
+            X = (factors @ rng.normal(size=(2, cols))
+                 + rng.normal(0, 0.05, size=(rows, cols)))
+            t = factors @ rng.normal(size=2) + rng.normal(0, 0.05, size=rows)
+            coef = fit_nnls(X, t).coefficients
+            gradient = X.T @ (X @ coef - t)
+            assert (coef >= 0).all()
+            active = coef == 0.0
+            assert np.abs(gradient[~active]).max(initial=0.0) <= 1e-8
+            assert gradient[active].min(initial=0.0) >= -1e-8
+
+    def test_solver_failure_is_a_validation_error(self, monkeypatch):
+        import scipy.optimize
+
+        def give_up(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", give_up)
+        X = np.random.default_rng(26).normal(size=(10, 2))
+        with pytest.raises(ValidationError, match="non-negative least "
+                           "squares failed to converge"):
+            fit_nnls(X, X[:, 0])
 
     def test_agrees_with_scipy(self):
         rng = np.random.default_rng(23)

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from benchsel import search
 from benchsel.data import FilterConfig, PreparedDataset
-from benchsel.errors import EmptySearchError, ValidationError
+from benchsel.errors import (
+    EmptySearchError,
+    SingularMatrixError,
+    ValidationError,
+)
 from benchsel.formats import bank_from_dict, bank_to_dict, suite_to_dict
 from benchsel.search import (
     TABLE_CACHE_DOUBLES,
@@ -194,6 +198,37 @@ class TestEnumerateAndScore:
             enumerate_and_score(ds, SearchConfig(subset_size=5, folds=13),
                                 progress=silent)
         assert err.value.skip_stats["skipped_insufficient_rows"] == 6
+
+    def test_refit_singular_finalists_are_counted(self, monkeypatch):
+        ds = make_dataset(m=30, n=6, seed=12)
+        config = SearchConfig(subset_size=2, folds=5)
+        base = enumerate_and_score(ds, config, progress=silent)
+        dropped = base.ranked[1].subset
+        fit_ols = search.fit_ols
+
+        def refit(X, t, *, environment_ids, **kwargs):
+            if environment_ids == dropped:
+                raise SingularMatrixError(dropped[-1])
+            return fit_ols(X, t, environment_ids=environment_ids, **kwargs)
+
+        monkeypatch.setattr(search, "fit_ols", refit)
+        result = enumerate_and_score(ds, config, progress=silent)
+        assert result.scored == base.scored - 1
+        assert result.skipped_singular == base.skipped_singular + 1
+        assert [c.subset for c in result.ranked] == [
+            c.subset for c in base.ranked if c.subset != dropped]
+        assert (result.scored + result.skipped_insufficient_rows
+                + result.skipped_singular) == result.total_candidates
+
+        def singular(X, t, *, environment_ids, **kwargs):
+            raise SingularMatrixError(environment_ids[-1])
+
+        monkeypatch.setattr(search, "fit_ols", singular)
+        with pytest.raises(EmptySearchError, match="every finalist was "
+                           "singular at refit time") as err:
+            enumerate_and_score(ds, config, progress=silent)
+        assert err.value.skip_stats["skipped_singular"] == (
+            base.skipped_singular + len(base.ranked))
 
     def test_progress_milestones(self, monkeypatch):
         import benchsel.search as search_mod
@@ -507,6 +542,20 @@ class TestPerGameModels:
         assert "env06" not in bank.models
         assert "env06" in bank.skipped
         assert bank.n_used["env06"] == 4
+
+    def test_identical_subset_games_skip_every_fitted_game(self):
+        ds = make_dataset(m=30, n=6, seed=19)
+        scores = ds.log_scores.copy()
+        scores[:, 2] = scores[:, 0]  # env03 duplicates env01
+        ds = PreparedDataset(ds.algorithm_ids, ds.environment_ids, scores,
+                             ds.targets, "median", FilterConfig(1, 1))
+        bank = per_game_models(ds, ("env01", "env03"))
+        fitted = ("env02", "env04", "env05", "env06")
+        assert bank.skipped == {env: "singular design (env03)"
+                                for env in fitted}
+        assert set(bank.models) == {"env01", "env03"}
+        assert list(bank.models["env03"].coefficients) == [0.0, 1.0]
+        assert bank.models["env03"].intercept == 0.0
 
 
 class TestVarianceExplained:
