@@ -145,10 +145,14 @@ def _emit(args, doc, lines, sort_keys=True) -> None:
             print(line)
 
 
+def _print_progress(done: int, total: int) -> None:
+    print(f"benchsel: scored {done:,} / {total:,} candidate subsets",
+          file=sys.stderr, flush=True)
+
+
 def _progress_for(args):
-    if args.quiet:
-        return lambda done, total: None
-    return None  # module default: one stderr line per million candidates
+    """A stderr line per million candidates searched, none under --quiet."""
+    return None if args.quiet else _print_progress
 
 
 def _model_summary_row(name, subset, model):
@@ -167,9 +171,7 @@ def _model_summary_row(name, subset, model):
 # search
 
 def cmd_search(args) -> dict:
-    dataset = _load_dataset(args)
-    checksums = _checksums(args)
-    config = SearchConfig(
+    config = SearchConfig(  # a bad flag fails here, before the load
         subset_size=args.size,
         must_include=_split_csv_flag(",".join(args.include)),
         exclude=_split_csv_flag(",".join(args.exclude)),
@@ -178,6 +180,8 @@ def cmd_search(args) -> dict:
         with_intercept=args.intercept,
         top_k=args.top_k,
     )
+    dataset = _load_dataset(args)
+    checksums = _checksums(args)
     result = enumerate_and_score(dataset, config, threads=args.threads,
                                  progress=_progress_for(args))
 
@@ -221,6 +225,7 @@ def cmd_search(args) -> dict:
 # pipeline
 
 def cmd_pipeline(args) -> dict:
+    SearchConfig(subset_size=1, folds=args.folds)  # --folds, before the load
     os.makedirs(os.path.join(args.out, "models"), exist_ok=True)
     os.makedirs(os.path.join(args.out, "banks"), exist_ok=True)
     dataset = _load_dataset(args)

@@ -25,7 +25,8 @@ bit-identical whatever the worker count or block size.
 Per subset, any algorithm missing one of the required scores is dropped
 for that candidate only. Candidates left with fewer usable algorithms
 than ``fitted columns + 2`` (or than the fold count, which k-fold CV
-needs) are skipped and counted, never silently dropped.
+needs) are skipped and counted, never silently dropped. The module
+prints nothing; a caller passes ``progress`` to see a search advance.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import mmap
 import multiprocessing
 import os
 import signal
-import sys
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 
@@ -90,18 +90,21 @@ class SearchConfig:
             raise ValidationError("folds must be >= 2")
         if self.top_k < 1:
             raise ValidationError("top_k must be >= 1")
-        cols = self.subset_size + int(self.with_intercept)
-        if cols > MAX_COLUMNS:
+        if self.fitted_columns > MAX_COLUMNS:
             raise ValidationError(
                 f"subset_size {self.subset_size}"
                 f"{' plus the intercept' if self.with_intercept else ''} "
-                f"fits {cols} columns, over the {MAX_COLUMNS}-column "
-                "solver limit")
+                f"fits {self.fitted_columns} columns, over the "
+                f"{MAX_COLUMNS}-column solver limit")
         must = EnvironmentIndex(self.must_include)
         if any(e in must for e in self.exclude):
             raise ValidationError("must_include and exclude overlap")
         if len(self.must_include) > self.subset_size:
             raise ValidationError("must_include larger than subset_size")
+
+    @property
+    def fitted_columns(self) -> int:
+        return self.subset_size + int(self.with_intercept)
 
 
 @dataclass(frozen=True)
@@ -224,11 +227,7 @@ class _SearchContext:
     name_rank: np.ndarray  # (n,) column -> rank in sorted(env_names)
     pool: np.ndarray       # eligible column indices, ascending
     must_cols: np.ndarray  # forced column indices
-    subset_size: int
-    with_intercept: bool
-    folds: int
-    seed: int
-    top_k: int
+    config: SearchConfig
     min_rows: int
     comb: np.ndarray       # binomial table for the pool
     # The store: packed usable-row mask -> slot, and the slab of slots that
@@ -238,15 +237,15 @@ class _SearchContext:
 
     @property
     def k_free(self) -> int:
-        return self.subset_size - len(self.must_cols)
+        return self.config.subset_size - len(self.must_cols)
 
 
 def _block_size(ctx: _SearchContext) -> int:
     m = ctx.avail.shape[0]
-    cols = ctx.subset_size + int(ctx.with_intercept)
+    cols = ctx.config.fitted_columns
     # Doubles a candidate takes in the block's largest arrays: its held-out
     # rows (about m x cols) and one cols x cols Gram per fold.
-    per_candidate = cols * (m + ctx.folds * cols)
+    per_candidate = cols * (m + ctx.config.folds * cols)
     return int(max(256, min(32768, WORKING_SET_DOUBLES // per_candidate)))
 
 
@@ -259,14 +258,15 @@ def _shares_table(count: np.ndarray, cols: int, width: int) -> np.ndarray:
 
 def _ranked(ctx: _SearchContext, cv: np.ndarray, env_cols: np.ndarray,
             n_usable: np.ndarray):
-    """The best ``ctx.top_k`` candidates as (cv, env_cols, n_usable) arrays,
+    """The best ``top_k`` candidates as (cv, env_cols, n_usable) arrays,
     ascending by cv_mse with ties broken by sorted environment names."""
-    if len(cv) > ctx.top_k:  # a cut that keeps every tie at the k-th
-        cut = cv <= np.partition(cv, ctx.top_k - 1)[ctx.top_k - 1]
+    top_k = ctx.config.top_k
+    if len(cv) > top_k:  # a cut that keeps every tie at the k-th
+        cut = cv <= np.partition(cv, top_k - 1)[top_k - 1]
         cv, env_cols, n_usable = cv[cut], env_cols[cut], n_usable[cut]
     # Equal-size subsets compare by sorted name ranks as by sorted names.
     ranks = np.sort(ctx.name_rank[env_cols], axis=1)
-    order = np.lexsort((*ranks.T[::-1], cv))[:ctx.top_k]
+    order = np.lexsort((*ranks.T[::-1], cv))[:top_k]
     return cv[order], env_cols[order], n_usable[order]
 
 
@@ -284,6 +284,7 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     where finalists are ``_ranked``'s arrays for the block.
     """
     n_block = stop - start
+    folds, seed = ctx.config.folds, ctx.config.seed
     positions = _unrank_colex(np.arange(start, stop), ctx.k_free, ctx.comb)
     env_cols = ctx.pool[positions]
     if len(ctx.must_cols):
@@ -322,7 +323,7 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     add = np.flatnonzero((slot < 0) & _shares_table(
         np.bincount(group, minlength=len(keys)), fit_cols.shape[1] - 1, K))
     if len(add) and not ctx.table_slot:     # the first table: allocate all
-        one = _table_shape(m, K, ctx.folds)
+        one = _table_shape(m, K, folds)
         doubles = TABLE_CACHE_DOUBLES // math.prod(one) * math.prod(one)
         # A private anonymous map, which numpy does not advise for huge
         # pages, so memory grows by the slots written, not by 2 MB regions;
@@ -332,13 +333,13 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     add = add[:len(ctx.tables) - len(ctx.table_slot)]
     if len(add):
         slot[add] = range(len(ctx.table_slot), len(ctx.table_slot) + len(add))
-        _fold_tables(ctx.X, usable[add], np.arange(K), ctx.folds, ctx.seed,
+        _fold_tables(ctx.X, usable[add], np.arange(K), folds, seed,
                      ctx.tables[slot[add[0]]:slot[add[-1]] + 1])
         ctx.table_slot.update((keys[i].tobytes(), int(slot[i])) for i in add)
 
     on_shared = slot[group] >= 0
     cv = np.empty(len(keep))
-    bad = np.empty((len(keep), ctx.folds), dtype=np.int64)
+    bad = np.empty((len(keep), folds), dtype=np.int64)
     if on_shared.any():
         shared = group[on_shared]
         cv[on_shared], bad[on_shared] = _cv_mse_tabled(
@@ -346,7 +347,7 @@ def _score_block(ctx: _SearchContext, start: int, stop: int):
     own = ~on_shared
     if own.any():
         cv[own], bad[own] = _cv_mse_tabled(*_fold_tables(
-            ctx.X, usable[group[own]], fit_cols[own], ctx.folds, ctx.seed))
+            ctx.X, usable[group[own]], fit_cols[own], folds, seed))
 
     good = (bad == -1).all(axis=1) & np.isfinite(cv)
     n_scored = int(good.sum())
@@ -413,11 +414,6 @@ def _block_results(ctx: _SearchContext, spans, n: int):
 # ---------------------------------------------------------------------------
 # Public search API.
 
-def _default_progress(done: int, total: int) -> None:
-    print(f"benchsel: scored {done:,} / {total:,} candidate subsets",
-          file=sys.stderr, flush=True)
-
-
 def resolve_workers(threads: int) -> int:
     """Worker processes for a ``threads`` request; 0 or less means one per
     CPU this process may run on (its affinity mask, where the platform has
@@ -431,10 +427,11 @@ def resolve_workers(threads: int) -> int:
 
 def _build_context(dataset: PreparedDataset, config: SearchConfig
                    ) -> _SearchContext:
-    excluded = set(map(dataset.index.position, config.exclude))
+    where = "the dataset"
+    excluded = {dataset.index.position(e, where) for e in config.exclude}
     games = [j for j in range(dataset.n_environments) if j not in excluded]
-    forced = np.isin(games, list(map(dataset.index.position,
-                                     config.must_include)))
+    forced = np.isin(games, [dataset.index.position(e, where)
+                             for e in config.must_include])
     must_cols, pool = np.flatnonzero(forced), np.flatnonzero(~forced)
     k_free = config.subset_size - len(must_cols)
     if len(pool) < k_free:
@@ -455,7 +452,6 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
     by_name = sorted(range(len(games)), key=env_names.__getitem__)
     name_rank = np.empty(len(games), dtype=np.int64)
     name_rank[by_name] = np.arange(len(games))
-    cols_fit = config.subset_size + int(config.with_intercept)
     return _SearchContext(
         X=X,
         avail=avail,
@@ -464,12 +460,8 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
         name_rank=name_rank,
         pool=pool,
         must_cols=must_cols,
-        subset_size=config.subset_size,
-        with_intercept=config.with_intercept,
-        folds=config.folds,
-        seed=config.seed,
-        top_k=config.top_k,
-        min_rows=max(cols_fit + 2, config.folds),
+        config=config,
+        min_rows=max(config.fitted_columns + 2, config.folds),
         comb=_comb_table(len(pool), k_free),
     )
 
@@ -487,9 +479,9 @@ def _retain_freed_memory() -> None:
 def _refit(ctx: _SearchContext, cols: np.ndarray, cv_mse: float
            ) -> LinearModel:
     rows = np.flatnonzero(ctx.avail[:, cols].all(axis=1))
-    names = tuple(ctx.env_names[c] for c in cols)
     model = fit_ols(ctx.X[np.ix_(rows, cols)], ctx.X[rows, -1],
-                    with_intercept=ctx.with_intercept, environment_ids=names)
+                    with_intercept=ctx.config.with_intercept,
+                    environment_ids=tuple(ctx.env_names[c] for c in cols))
     return replace(model, stats=replace(model.stats, cv_mse=cv_mse))
 
 
@@ -502,12 +494,12 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
     with lexicographic environment-name tie-breaks. ``threads`` is the
     number of processes, this one included, that score rank blocks; it
     never changes the result, and the search uses at most one per block.
+    ``progress(done, total)``, if given, is called each time another
+    ``PROGRESS_STRIDE`` candidates are scored; the search prints nothing.
     """
     _retain_freed_memory()
     ctx = _build_context(dataset, config)
     total = math.comb(len(ctx.pool), ctx.k_free)
-    if progress is None:
-        progress = _default_progress
     block = _block_size(ctx)
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
     workers = min(resolve_workers(threads), len(spans))
@@ -527,7 +519,7 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
                                       and local[0][0] > finalists[0][-1]):
                 finalists = _ranked(
                     ctx, *map(np.concatenate, zip(finalists, local)))
-            while stop >= next_milestone:
+            while progress and stop >= next_milestone:
                 progress(next_milestone, total)
                 next_milestone += PROGRESS_STRIDE
 
@@ -580,6 +572,7 @@ def nested_pipeline(dataset: PreparedDataset, folds: int = 10, seed: int = 0, *,
     the size-5; two more games extending it to a validation five; and five
     further games (disjoint from both) extending the size-5 to a size-10.
     Each named model is refit on all algorithms usable for its subset.
+    ``threads`` and ``progress`` are passed on to every stage's search.
     """
     n = dataset.n_environments
     if n < PIPELINE_MIN_ENVIRONMENTS:

@@ -5,10 +5,6 @@ from benchsel.data import FilterConfig, PreparedDataset
 from benchsel.linreg import PIVOT_RTOL, fold_assignment
 
 
-def silent(done, total):
-    """Progress sink for searches under test."""
-
-
 def make_dataset(m=40, n=16, seed=0, signal=None, noise=0.02,
                  missing_fraction=0.0, gaps="iid"):
     """Synthetic PreparedDataset with a known linear target.

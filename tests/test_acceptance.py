@@ -91,8 +91,7 @@ def test_criterion_2_synthetic_subset_recovery():
             tuple(f"e{j + 1:02d}" for j in range(20)),
             X, t, "median", FilterConfig(1, 1))
         result = enumerate_and_score(
-            dataset, SearchConfig(subset_size=3, folds=10, seed=seed),
-            progress=lambda *_: None)
+            dataset, SearchConfig(subset_size=3, folds=10, seed=seed))
         wins += set(result.best.subset) == expected
     elapsed = time.perf_counter() - started
     report("C2", "synthetic-subset-recovery",

@@ -328,7 +328,8 @@ class TestSearchCommand:
                   "--ignore-columns", "truecol",
                   "--include", "nonexistent", "--out", tmp / "x"])
         assert rc == 1
-        assert "nonexistent" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "benchsel: error: environment 'nonexistent' not in the dataset"]
 
     @pytest.mark.parametrize("flags, message", [
         (["--size", "0"], "subset_size must be >= 1"),
@@ -341,13 +342,38 @@ class TestSearchCommand:
     ])
     def test_out_of_range_search_flags_exit_one_with_one_line(
             self, toy_inputs, capsys, flags, message):
+        # The flags are checked before the table is read, so a missing
+        # scores file gives the same one line.
+        scores, norms, tmp = toy_inputs
+        for path in (scores, tmp / "missing.csv"):
+            rc = run(["search", "--scores", path, "--norms", norms,
+                      "--min-games", "5", "--min-algos", "5",
+                      "--ignore-columns", "truecol", *flags,
+                      "--out", tmp / "x"])
+            assert rc == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"benchsel: error: {message}"]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--quiet"]])
+    def test_progress_lines_on_stderr(self, toy_inputs, capsys, monkeypatch,
+                                      flags):
+        # C(8, 3) = 56 candidates cross five strides of 10.
+        monkeypatch.setattr("benchsel.search.PROGRESS_STRIDE", 10)
         scores, norms, tmp = toy_inputs
         rc = run(["search", "--scores", scores, "--norms", norms,
-                  "--min-games", "5", "--min-algos", "5", "--ignore-columns",
-                  "truecol", *flags, "--out", tmp / "x"])
-        assert rc == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"benchsel: error: {message}"]
+                  "--size", "3", "--folds", "5", "--min-games", "5",
+                  "--min-algos", "5", "--ignore-columns", "truecol",
+                  "--threads", "1", "--out", tmp / "x", *flags])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        if "--quiet" in flags:
+            assert (out, err) == ("", "")
+            return
+        assert err.splitlines() == [
+            f"benchsel: scored {done} / 56 candidate subsets"
+            for done in (10, 20, 30, 40, 50)]
+        if "--json" in flags:
+            assert json.loads(out)["name"] == "best-of-size-3"
 
     def test_usage_error_exits_two(self, toy_inputs):
         scores, norms, _ = toy_inputs
@@ -392,6 +418,13 @@ class TestPipelineCommand:
                   "--ignore-columns", "truecol", "--out", tmp / "p"])
         assert rc == 1
         assert "15" in capsys.readouterr().err
+
+    def test_bad_folds_reported_before_the_load(self, tmp_path, capsys):
+        rc = run(["pipeline", "--scores", tmp_path / "missing.csv",
+                  "--folds", "1", "--out", tmp_path / "p"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "benchsel: error: folds must be >= 2"]
 
     def test_full_run_and_determinism(self, tmp_path):
         rng = np.random.default_rng(71)

@@ -37,7 +37,7 @@ from benchsel.search import (
     _unrank_colex,
     enumerate_and_score,
 )
-from conftest import cholesky_reference, lstsq_cv_mse, make_dataset, silent
+from conftest import cholesky_reference, lstsq_cv_mse, make_dataset
 
 # Every candidate on a shared table, every candidate on its own table, and
 # the search's own choice per group.
@@ -66,8 +66,9 @@ def per_fold_block_cv(ctx):
     m = ctx.avail.shape[0]
     X, t = ctx.X[:m, :-1], ctx.X[:m, -1]
     fold_table = np.full((m + 1, m), -1, dtype=np.int64)
-    for rows in range(ctx.folds, m + 1):
-        fold_table[rows, :rows] = fold_assignment(rows, ctx.folds, ctx.seed)
+    for rows in range(ctx.config.folds, m + 1):
+        fold_table[rows, :rows] = fold_assignment(
+            rows, ctx.config.folds, ctx.config.seed)
 
     total = math.comb(len(ctx.pool), ctx.k_free)
     positions = _unrank_colex(np.arange(total), ctx.k_free, ctx.comb)
@@ -76,7 +77,7 @@ def per_fold_block_cv(ctx):
         forced = np.broadcast_to(ctx.must_cols, (total, len(ctx.must_cols)))
         env_cols = np.sort(np.concatenate([forced, env_cols], axis=1), axis=1)
     fit_cols = env_cols
-    if ctx.with_intercept:
+    if ctx.config.with_intercept:
         ones_col = np.full((total, 1), X.shape[1] - 1)
         fit_cols = np.concatenate([env_cols, ones_col], axis=1)
 
@@ -91,7 +92,7 @@ def per_fold_block_cv(ctx):
     Xt = np.ascontiguousarray(X[:, fit_cols].transpose(1, 0, 2))  # (N, m, C)
     cv_sum = np.zeros(len(keep))
     singular = np.zeros(len(keep), dtype=bool)
-    for f in range(ctx.folds):
+    for f in range(ctx.config.folds):
         w_train = ((fold_id != f) & usable).T
         At = (Xt * w_train[:, :, None]).transpose(0, 2, 1)
         beta, bad = cholesky_reference(At @ Xt, At @ t)
@@ -99,7 +100,7 @@ def per_fold_block_cv(ctx):
         w_test = (fold_id == f).T
         residual = ((Xt @ beta[:, :, None])[:, :, 0] - t) * w_test
         cv_sum += (residual ** 2).sum(axis=1) / w_test.sum(axis=1)
-    cv = cv_sum / ctx.folds
+    cv = cv_sum / ctx.config.folds
     singular |= ~np.isfinite(cv)
     return {tuple(sorted(ctx.env_names[c] for c in cols)):
             None if bad else float(value)
@@ -127,7 +128,7 @@ def test_matches_per_fold_reference(seed, with_intercept):
                       if cv is not None)
     for engine in ALL_ENGINES:
         with cv_engine(engine):
-            result = enumerate_and_score(ds, config, progress=silent)
+            result = enumerate_and_score(ds, config)
         assert [tuple(sorted(c.subset)) for c in result.ranked] == \
                [key for _, key in expected]
         for cand, (cv, _) in zip(result.ranked, expected):
@@ -152,7 +153,7 @@ def test_singular_verdicts_match_per_fold_reference(with_intercept):
     reference = per_fold_block_cv(_build_context(ds, config))
     for engine in ALL_ENGINES:
         with cv_engine(engine):
-            scored = _scored(enumerate_and_score(ds, config, progress=silent))
+            scored = _scored(enumerate_and_score(ds, config))
         assert set(scored) == {k for k, cv in reference.items()
                                if cv is not None}
         assert len(scored) < len(reference)
@@ -175,7 +176,7 @@ def test_masks_of_several_words_match_per_fold_reference():
     reference = per_fold_block_cv(_build_context(ds, config))
     for engine in ALL_ENGINES:
         with cv_engine(engine):
-            result = enumerate_and_score(ds, config, progress=silent)
+            result = enumerate_and_score(ds, config)
         assert len(reference) == result.total_candidates
         assert _scored(result).keys() == reference.keys()
         for cand in result.ranked:
@@ -216,7 +217,7 @@ def test_engine_matches_lstsq_oracle(seed, m, missing, gaps, folds, size,
                           with_intercept=with_intercept, top_k=100,
                           must_include=forced, exclude=(excluded,))
     with cv_engine(engine):
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
     assert result.total_candidates == math.comb(5 - force, size - force)
     for cand in result.ranked:
         assert excluded not in cand.subset and set(forced) <= set(cand.subset)
@@ -255,8 +256,7 @@ _INVARIANCE_CONFIG = SearchConfig(subset_size=3, folds=10, seed=3, top_k=40)
 def _ranking(gaps, engine, **kwargs):
     with cv_engine(engine):
         result = enumerate_and_score(_INVARIANCE_DATA[gaps],
-                                     _INVARIANCE_CONFIG, progress=silent,
-                                     **kwargs)
+                                     _INVARIANCE_CONFIG, **kwargs)
     return result.skip_stats, [(c.subset, c.cv_mse) for c in result.ranked]
 
 
@@ -336,8 +336,7 @@ def _both_engines(ds, config):
     results = {}
     for engine in ALL_ENGINES:
         with cv_engine(engine):
-            results[engine] = enumerate_and_score(ds, config,
-                                                  progress=silent)
+            results[engine] = enumerate_and_score(ds, config)
     assert results["rule"].skip_stats == results["gather"].skip_stats
     assert _listing(results["rule"]) == _listing(results["gather"])
     return results["tables"], results["gather"]
@@ -385,7 +384,7 @@ def test_top_k_cut_inside_an_exact_tie(top_k):
                          tuple(f"env{12 - j:02d}" for j in range(12)),
                          scores, ds.targets, "median", FilterConfig(1, 1))
     config = SearchConfig(subset_size=3, folds=10, seed=6, top_k=1000)
-    every = _listing(enumerate_and_score(ds, config, progress=silent))
+    every = _listing(enumerate_and_score(ds, config))
     every.sort(key=lambda c: (c[1], sorted(c[0])))
     assert every[top_k - 1][1] == every[top_k][1]
     config = replace(config, top_k=top_k)
@@ -396,8 +395,7 @@ def test_top_k_cut_inside_an_exact_tie(top_k):
             with pytest.MonkeyPatch.context() as mp:
                 if block:
                     mp.setattr(search, "_block_size", lambda ctx: block)
-                result = enumerate_and_score(ds, config, threads=threads,
-                                             progress=silent)
+                result = enumerate_and_score(ds, config, threads=threads)
             assert _listing(result) == every[:top_k]
 
 
@@ -427,7 +425,7 @@ def test_scalar_cv_equals_search_cv_mse(engine, with_intercept):
     config = SearchConfig(subset_size=3, folds=10, seed=5,
                           with_intercept=with_intercept, top_k=1000)
     with cv_engine(engine):
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
     assert _assert_scalar_cv(ds, result, with_intercept) > 20
 
 
@@ -438,7 +436,7 @@ def test_scalar_cv_equals_search_cv_mse_with_mixed_gaps(with_intercept):
     ds = _INVARIANCE_DATA["mixed"]
     config = SearchConfig(subset_size=3, folds=10, seed=5,
                           with_intercept=with_intercept, top_k=1000)
-    result = enumerate_and_score(ds, config, progress=silent)
+    result = enumerate_and_score(ds, config)
     assert len(result.ranked) == result.scored
     assert _assert_scalar_cv(ds, result, with_intercept) > 0
 

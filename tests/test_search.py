@@ -27,7 +27,7 @@ from benchsel.search import (
     per_game_models,
     variance_explained,
 )
-from conftest import lstsq_cv_mse, make_dataset, silent
+from conftest import lstsq_cv_mse, make_dataset
 
 
 class TestSearchConfig:
@@ -43,8 +43,7 @@ class TestSearchConfig:
 class TestEnumerateAndScore:
     def test_six_choose_five(self):
         ds = make_dataset(m=30, n=6, seed=1)
-        result = enumerate_and_score(ds, SearchConfig(subset_size=5, folds=5),
-                                     progress=silent)
+        result = enumerate_and_score(ds, SearchConfig(subset_size=5, folds=5))
         assert result.total_candidates == 6
         assert result.scored == 6
         assert len(result.ranked) == 6
@@ -52,14 +51,14 @@ class TestEnumerateAndScore:
     def test_exhaustiveness_accounting(self):
         ds = make_dataset(m=40, n=12, seed=2, missing_fraction=0.25)
         config = SearchConfig(subset_size=4, folds=10)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         assert (result.scored + result.skipped_insufficient_rows
                 + result.skipped_singular) == math.comb(12, 4)
 
     def test_must_include_respected(self):
         ds = make_dataset(m=30, n=8, seed=3)
         config = SearchConfig(subset_size=3, must_include=("env02",), folds=5)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         assert result.total_candidates == math.comb(7, 2)
         assert all("env02" in cand.subset for cand in result.ranked)
 
@@ -67,7 +66,7 @@ class TestEnumerateAndScore:
         ds = make_dataset(m=40, n=12, seed=27, missing_fraction=0.2)
         config = SearchConfig(subset_size=4, must_include=("env01",),
                               exclude=("env11", "env12"), folds=10)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         # pool: 12 - 2 excluded - 1 forced = 9 eligible, choose 3 more
         assert result.total_candidates == math.comb(9, 3)
         assert (result.scored + result.skipped_insufficient_rows
@@ -77,7 +76,7 @@ class TestEnumerateAndScore:
         ds = make_dataset(m=30, n=8, seed=4)
         config = SearchConfig(subset_size=3, exclude=("env05", "env07"),
                               folds=5)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         assert result.total_candidates == math.comb(6, 3)
         for cand in result.ranked:
             assert "env05" not in cand.subset
@@ -86,15 +85,14 @@ class TestEnumerateAndScore:
     def test_recovers_planted_signal(self):
         ds = make_dataset(m=60, n=20, seed=5,
                           signal={2: 0.4, 6: 0.5, 11: 0.1}, noise=0.02)
-        result = enumerate_and_score(ds, SearchConfig(subset_size=3),
-                                     progress=silent)
+        result = enumerate_and_score(ds, SearchConfig(subset_size=3))
         assert result.best.subset == ("env03", "env07", "env12")
 
     def test_ranking_sorted_and_deterministic(self):
         ds = make_dataset(m=30, n=9, seed=6)
         config = SearchConfig(subset_size=2, folds=5, top_k=50)
-        a = enumerate_and_score(ds, config, progress=silent)
-        b = enumerate_and_score(ds, config, progress=silent)
+        a = enumerate_and_score(ds, config)
+        b = enumerate_and_score(ds, config)
         cvs = [c.cv_mse for c in a.ranked]
         assert cvs == sorted(cvs)
         assert [c.subset for c in a.ranked] == [c.subset for c in b.ranked]
@@ -104,8 +102,8 @@ class TestEnumerateAndScore:
         monkeypatch.setattr("benchsel.search._block_size", lambda ctx: 16)
         ds = make_dataset(m=40, n=11, seed=7, missing_fraction=0.1)
         config = SearchConfig(subset_size=3, folds=10, top_k=30)
-        serial = enumerate_and_score(ds, config, threads=1, progress=silent)
-        parallel = enumerate_and_score(ds, config, threads=6, progress=silent)
+        serial = enumerate_and_score(ds, config, threads=1)
+        parallel = enumerate_and_score(ds, config, threads=6)
         assert serial.skip_stats == parallel.skip_stats
         for a, b in zip(serial.ranked, parallel.ranked):
             assert a.subset == b.subset
@@ -115,7 +113,7 @@ class TestEnumerateAndScore:
     def test_agrees_with_scalar_cross_validation(self):
         ds = make_dataset(m=45, n=10, seed=8, missing_fraction=0.15)
         config = SearchConfig(subset_size=3, folds=10, seed=2, top_k=200)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         name_to_col = {e: j for j, e in enumerate(ds.environment_ids)}
         for cand in result.ranked[:20]:
             cols = [name_to_col[e] for e in cand.subset]
@@ -135,7 +133,7 @@ class TestEnumerateAndScore:
         ds = PreparedDataset(ds.algorithm_ids, ds.environment_ids, scores,
                              ds.targets, "median", FilterConfig(1, 1))
         config = SearchConfig(subset_size=2, folds=10)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         assert result.skipped_insufficient_rows == 8  # env09 paired with others
         assert all("env09" not in c.subset for c in result.ranked)
 
@@ -145,8 +143,7 @@ class TestEnumerateAndScore:
         scores[:, 4] = scores[:, 3]  # exact duplicate column
         ds = PreparedDataset(ds.algorithm_ids, ds.environment_ids, scores,
                              ds.targets, "median", FilterConfig(1, 1))
-        result = enumerate_and_score(ds, SearchConfig(subset_size=2, folds=5),
-                                     progress=silent)
+        result = enumerate_and_score(ds, SearchConfig(subset_size=2, folds=5))
         assert result.skipped_singular == 1
         assert result.scored == math.comb(5, 2) - 1
 
@@ -158,7 +155,7 @@ class TestEnumerateAndScore:
                              FilterConfig(1, 1))
         config = SearchConfig(subset_size=2, folds=10, seed=5,
                               with_intercept=True, top_k=50)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         name_to_col = {e: j for j, e in enumerate(ds.environment_ids)}
         for cand in result.ranked[:10]:
             assert cand.model.intercept is not None
@@ -175,11 +172,9 @@ class TestEnumerateAndScore:
                                   ds.log_scores, ds.targets + 2.0, "median",
                                   FilterConfig(1, 1))
         with_c = enumerate_and_score(
-            shifted, SearchConfig(subset_size=1, with_intercept=True),
-            progress=silent)
+            shifted, SearchConfig(subset_size=1, with_intercept=True))
         without_c = enumerate_and_score(
-            shifted, SearchConfig(subset_size=1, with_intercept=False),
-            progress=silent)
+            shifted, SearchConfig(subset_size=1, with_intercept=False))
         assert with_c.best.subset == ("env04",)
         assert with_c.best.model.intercept == pytest.approx(2.0, abs=0.05)
         assert with_c.best.cv_mse < without_c.best.cv_mse
@@ -188,21 +183,19 @@ class TestEnumerateAndScore:
         ds = make_dataset(m=30, n=6, seed=11)
         with pytest.raises(ValidationError, match="eligible"):
             enumerate_and_score(
-                ds, SearchConfig(subset_size=5, exclude=("env01", "env02")),
-                progress=silent)
+                ds, SearchConfig(subset_size=5, exclude=("env01", "env02")))
 
     def test_all_skipped_raises_empty_search(self):
         # 12 algorithms < 13 folds: no candidate can be cross-validated
         ds = make_dataset(m=12, n=6, seed=11)
         with pytest.raises(EmptySearchError) as err:
-            enumerate_and_score(ds, SearchConfig(subset_size=5, folds=13),
-                                progress=silent)
+            enumerate_and_score(ds, SearchConfig(subset_size=5, folds=13))
         assert err.value.skip_stats["skipped_insufficient_rows"] == 6
 
     def test_refit_singular_finalists_are_counted(self, monkeypatch):
         ds = make_dataset(m=30, n=6, seed=12)
         config = SearchConfig(subset_size=2, folds=5)
-        base = enumerate_and_score(ds, config, progress=silent)
+        base = enumerate_and_score(ds, config)
         dropped = base.ranked[1].subset
         fit_ols = search.fit_ols
 
@@ -212,7 +205,7 @@ class TestEnumerateAndScore:
             return fit_ols(X, t, environment_ids=environment_ids, **kwargs)
 
         monkeypatch.setattr(search, "fit_ols", refit)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         assert result.scored == base.scored - 1
         assert result.skipped_singular == base.skipped_singular + 1
         assert [c.subset for c in result.ranked] == [
@@ -226,7 +219,7 @@ class TestEnumerateAndScore:
         monkeypatch.setattr(search, "fit_ols", singular)
         with pytest.raises(EmptySearchError, match="every finalist was "
                            "singular at refit time") as err:
-            enumerate_and_score(ds, config, progress=silent)
+            enumerate_and_score(ds, config)
         assert err.value.skip_stats["skipped_singular"] == (
             base.skipped_singular + len(base.ranked))
 
@@ -239,6 +232,12 @@ class TestEnumerateAndScore:
         enumerate_and_score(ds, SearchConfig(subset_size=3, folds=5),
                             progress=lambda done, total: calls.append(done))
         assert calls == [100]  # C(10,3) = 120 crosses one stride of 100
+
+    def test_no_callback_prints_nothing(self, monkeypatch, capfd):
+        monkeypatch.setattr(search, "PROGRESS_STRIDE", 10)
+        ds = make_dataset(m=30, n=10, seed=12)
+        enumerate_and_score(ds, SearchConfig(subset_size=3, folds=5))
+        assert capfd.readouterr() == ("", "")
 
 
 def _listing(result):
@@ -306,16 +305,16 @@ class TestMaskTables:
         config = SearchConfig(subset_size=5, top_k=1000)
         ctx = _score_every_block(_build_context(ds, config))
         assert len(ctx.table_slot) > 2
-        uncapped = enumerate_and_score(ds, config, progress=silent)
+        uncapped = enumerate_and_score(ds, config)
         monkeypatch.setattr(search, "TABLE_CACHE_DOUBLES",
                             2 * ctx.tables[0].size)
         ctx = _score_every_block(_build_context(ds, config))
         assert sorted(ctx.table_slot.values()) == [0, 1]
         assert len(ctx.tables) == 2
-        capped = enumerate_and_score(ds, config, progress=silent)
+        capped = enumerate_and_score(ds, config)
         monkeypatch.setattr(search, "_shares_table",
                             lambda count, *_: np.zeros(len(count), bool))
-        gathered = enumerate_and_score(ds, config, progress=silent)
+        gathered = enumerate_and_score(ds, config)
         for result in (uncapped, gathered):
             assert result.skip_stats == capped.skip_stats
             assert _listing(result) == _listing(capped)
@@ -336,7 +335,7 @@ class TestMaskTables:
         ds = make_dataset(m=62, n=20, seed=50, missing_fraction=0.1,
                           gaps="block")
         config = SearchConfig(subset_size=5, top_k=1000)
-        serial = enumerate_and_score(ds, config, threads=1, progress=silent)
+        serial = enumerate_and_score(ds, config, threads=1)
         context = multiprocessing.get_context(method)
         sent = []
 
@@ -351,7 +350,7 @@ class TestMaskTables:
 
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda: Recording)
-        pooled = enumerate_and_score(ds, config, threads=3, progress=silent)
+        pooled = enumerate_and_score(ds, config, threads=3)
         assert pooled.workers == len(sent) + 1 == 3
         for ctx in sent:
             assert ctx.table_slot == {} and len(ctx.tables) == 0
@@ -364,7 +363,7 @@ class TestMaskTables:
         forced = ("env02", "env05", "env09")
         config = SearchConfig(subset_size=3, must_include=forced, folds=5,
                               seed=2)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         assert result.total_candidates == result.scored == 1
         cols = [1, 4, 8]
         usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
@@ -384,7 +383,7 @@ class TestMaskTables:
         assert ctx.table_slot
         # 10 folds of at most 4 held-out rows, then 11 training rows.
         assert ctx.tables.shape[1:] == (4 + 11, 12, 10)
-        result = enumerate_and_score(ds, config, progress=silent)
+        result = enumerate_and_score(ds, config)
         for cand in result.ranked:
             cols = [ds.index.position(e) for e in cand.subset]
             usable = np.flatnonzero(ds.present[:, cols].all(axis=1))
@@ -398,7 +397,7 @@ class TestMaskTables:
 def suite_and_dataset():
     ds = make_dataset(m=50, n=18, seed=13,
                       signal={0: 0.5, 4: 0.3, 9: 0.2}, noise=0.05)
-    suite = nested_pipeline(ds, folds=10, seed=0, progress=silent)
+    suite = nested_pipeline(ds, folds=10, seed=0)
     return suite, ds
 
 
@@ -436,11 +435,11 @@ class TestNestedPipeline:
     def test_refuses_small_dataset(self):
         ds = make_dataset(m=30, n=6, seed=14)
         with pytest.raises(ValidationError, match="15"):
-            nested_pipeline(ds, progress=silent)
+            nested_pipeline(ds)
 
     def test_deterministic(self, suite_and_dataset):
         suite, ds = suite_and_dataset
-        again = nested_pipeline(ds, folds=10, seed=0, progress=silent)
+        again = nested_pipeline(ds, folds=10, seed=0)
         assert {k: v.subset for k, v in suite.models.items()} == \
                {k: v.subset for k, v in again.models.items()}
         assert {k: v.cv_mse for k, v in suite.models.items()} == \
@@ -449,11 +448,11 @@ class TestNestedPipeline:
     def test_stage_annotation_on_failure(self):
         ds = make_dataset(m=11, n=16, seed=15)  # too few rows for 10-fold CV
         with pytest.raises(EmptySearchError, match=r"\[size-5\]"):
-            nested_pipeline(ds, folds=12, progress=silent)
+            nested_pipeline(ds, folds=12)
 
     def test_runs_on_table_with_gaps(self):
         ds = make_dataset(m=45, n=16, seed=26, missing_fraction=0.08)
-        suite = nested_pipeline(ds, folds=10, seed=1, progress=silent)
+        suite = nested_pipeline(ds, folds=10, seed=1)
         assert set(suite.models) == {"size-1", "size-3", "size-5",
                                      "size-10", "val-3", "val-5"}
         assert all(s["scored"] > 0 for s in suite.skip_stats.values())
@@ -477,7 +476,7 @@ def test_nesting_invariants(seed, gaps, n):
     ds = make_dataset(m=60, n=n, seed=seed, gaps=gaps,
                       missing_fraction=0.05 if gaps == "iid" else 0.1,
                       signal={0: 0.5, 3: 0.3, 7: 0.2}, noise=0.05)
-    suite = nested_pipeline(ds, folds=5, seed=seed % 7, progress=silent)
+    suite = nested_pipeline(ds, folds=5, seed=seed % 7)
     subset = {name: set(suite.subset(name)) for name in suite.models}
     assert subset["size-1"] <= subset["size-3"] <= subset["size-5"] \
         <= subset["size-10"]
@@ -507,7 +506,7 @@ def test_nesting_invariants(seed, gaps, n):
         config = SearchConfig(subset_size=size, must_include=must,
                               exclude=exclude, folds=5, seed=seed % 7,
                               top_k=1)
-        best = enumerate_and_score(ds, config, progress=silent).best
+        best = enumerate_and_score(ds, config).best
         assert set(best.subset) == subset[name], name
         assert best.cv_mse == suite.models[name].cv_mse, name
 

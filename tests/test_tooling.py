@@ -196,6 +196,13 @@ def test_files_written_only_in_formats_module():
     assert users == ["benchsel/formats.py"]
 
 
+def test_terminal_output_only_in_cli_module():
+    # What reaches the terminal is decided in one place: cli.
+    writes = re.compile(r"\bprint\(|\bsys\.std(?:out|err)\b")
+    users = sorted(p for p, text in _sources().items() if writes.search(text))
+    assert users == ["benchsel/cli.py"]
+
+
 def test_fold_layout_only_in_linreg_module():
     # How rows are dealt into folds is decided in one place: linreg.
     layout = re.compile(
@@ -291,8 +298,7 @@ def measured(*args):
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     return result
 search._score_block = measured
-search.enumerate_and_score(dataset, search.SearchConfig(subset_size=5),
-                           progress=lambda done, total: None)
+search.enumerate_and_score(dataset, search.SearchConfig(subset_size=5))
 """
 
 
