@@ -10,6 +10,7 @@ volatile details like wall time and the workers used) by file name.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -117,8 +118,8 @@ def _split_csv_flag(raw: str) -> tuple[str, ...]:
 
 
 def _load_dataset(args):
-    ignore = _split_csv_flag(args.ignore_columns)
-    table, _ = load_scores_with_values(args.scores, ignore)
+    table, _ = load_scores_with_values(
+        args.scores, ignore=_split_csv_flag(args.ignore_columns))
     return prepare_dataset(table, load_norms(args.norms),
                            min_games=args.min_games,
                            min_algorithms=args.min_algos,
@@ -226,8 +227,6 @@ def cmd_search(args) -> dict:
 
 def cmd_pipeline(args) -> dict:
     SearchConfig(subset_size=1, folds=args.folds)  # --folds, before the load
-    os.makedirs(os.path.join(args.out, "models"), exist_ok=True)
-    os.makedirs(os.path.join(args.out, "banks"), exist_ok=True)
     dataset = _load_dataset(args)
     checksums = _checksums(args)
     suite = nested_pipeline(dataset, folds=args.folds, seed=args.seed,
@@ -240,6 +239,8 @@ def cmd_pipeline(args) -> dict:
 
     # The per-model and per-bank files repeat the suite's entries.
     suite_doc = suite_to_dict(suite, norms_checksum=checksums["norms"])
+    os.makedirs(os.path.join(args.out, "models"), exist_ok=True)
+    os.makedirs(os.path.join(args.out, "banks"), exist_ok=True)
     write_json(os.path.join(args.out, "suite.json"), {
         **suite_doc, **provenance(checksums),
         "variance_explained": explained})
@@ -286,7 +287,7 @@ def cmd_pipeline(args) -> dict:
 # ---------------------------------------------------------------------------
 # predict
 
-def _load_model_inputs(args, value_columns=()):
+def _load_model_inputs(args, ignore=()):
     """Load ``--model`` (a file or a shipped model's name), the norms and the
     scores; a model fitted on other norms warns, or fails under --strict."""
     path = args.model
@@ -294,9 +295,9 @@ def _load_model_inputs(args, value_columns=()):
         path = fixtures.subset_model_path(args.model)
     model, doc = load_model(path)
     norms = load_norms(args.norms)
-    if args.true_summary:
-        value_columns = (args.true_summary, *value_columns)
-    table, values = load_scores_with_values(args.scores, value_columns)
+    value_columns = (args.true_summary,) if args.true_summary else ()
+    table, values = load_scores_with_values(args.scores, value_columns,
+                                            ignore)
     checksums = _checksums(args, path)
 
     embedded = doc.get("norms_checksum")
@@ -549,6 +550,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    fresh = not os.path.exists(args.out)
+    status = _run(args)
+    if status and fresh:  # a failed run takes back the --out it made
+        with contextlib.suppress(OSError):
+            os.rmdir(args.out)  # refused unless the directory is empty
+    return status
+
+
+def _run(args) -> int:
     command = " ".join(filter(None, (args.command,
                                      getattr(args, "analysis", None))))
     try:

@@ -340,17 +340,20 @@ def load_scores(path) -> RawScoreTable:
     return table
 
 
-def load_scores_with_values(path, value_columns=()
+def load_scores_with_values(path, value_columns=(), ignore=()
                             ) -> tuple[RawScoreTable, dict[str, dict]]:
     """Like :func:`load_scores`, but diverts the named columns out of the
     score matrix and returns them as ``{column: {algorithm: value|None}}``
-    (for score files that carry, say, a true-summary column).
+    (for score files that carry, say, a true-summary column). Columns named
+    in ``ignore`` are left out of both, unread.
 
-    Two spellings of one name in ``value_columns`` raise
-    DuplicateEnvironmentError. Rows stream from the file into one flat
-    array of doubles, so the file is never held in memory.
+    Requested names are matched before the provenance column is diverted,
+    so a requested ``provenance`` column is that column. Two spellings of
+    one name among them raise DuplicateEnvironmentError. Rows stream from
+    the file into one flat array of doubles, so the file is never held in
+    memory.
     """
-    value_index = EnvironmentIndex(dict.fromkeys(value_columns))
+    value_index = EnvironmentIndex(dict.fromkeys((*value_columns, *ignore)))
     rows = read_csv_rows(path)
     header = [cell.strip() for cell in next(rows)[1]]
     if header[0].casefold() != "algorithm":
@@ -360,17 +363,17 @@ def load_scores_with_values(path, value_columns=()
     env_cols: list[tuple[int, str]] = []
     value_cols: dict[str, int] = {}
     for j, name in enumerate(header[1:], start=1):
-        if name.casefold() == "provenance":
-            if prov_col is not None:
-                raise SchemaError(f"{path}: multiple provenance columns")
-            prov_col = j
-        elif (k := value_index.get(name)) is not None:
+        if (k := value_index.get(name)) is not None:
             column = value_index.names[k]
             if column in value_cols:
                 raise SchemaError(
                     f"{path}: columns {header[value_cols[column]]!r} and "
                     f"{name!r} both name value column {column!r}")
             value_cols[column] = j
+        elif name.casefold() == "provenance":
+            if prov_col is not None:
+                raise SchemaError(f"{path}: multiple provenance columns")
+            prov_col = j
         elif not name:
             raise SchemaError(f"{path}: empty environment name in column {j + 1}")
         else:
@@ -378,6 +381,7 @@ def load_scores_with_values(path, value_columns=()
     missing_values = sorted(set(value_index.names) - set(value_cols))
     if missing_values:
         raise SchemaError(f"{path}: no column named {missing_values[0]!r}")
+    value_cols = {c: j for c, j in value_cols.items() if c in value_columns}
 
     algorithm_ids: list[str] = []
     provenance: list[str | None] = []

@@ -14,15 +14,17 @@ the non-negative fit hands its one small problem to SciPy's Lawson-Hanson
 solver, which ``fit_nnls`` imports on first use. Cross-validation
 downdates: with the target stored as the design's last column, one product
 over each fold's held-out rows gives that fold's Gram and right-hand side,
-every training system is the full system minus that, and all candidates x
-folds systems are solved in one batched call. One kernel does it all:
-``_fold_tables`` builds a stack of tables from usable-row masks, each
-holding its rows' held-out values and training systems over some columns,
-and ``_cv_mse_tabled`` scores candidates from them. A table serves either
-one candidate (``cross_validated_mse``, and a search's candidates with
-few others on their usable-row mask) or, written into a slot of a search
-process's store, every candidate sharing a mask (a table over every
-column the search can fit). Both give bit-identical results.
+and every training system is the full system minus that. One kernel does
+it all: ``_fold_tables`` builds a stack of tables from usable-row masks,
+each holding its rows' held-out values and training systems over some
+columns, and ``_cv_mse_tabled`` solves all candidates x folds systems in
+one batched call. A table serves either one candidate
+(``cross_validated_mse``, and a search's candidates with few others on
+their usable-row mask) or, written into a slot of a search process's
+store, every candidate sharing a mask (a table over every column the
+search can fit). Both give bit-identical results. Either way the systems
+reach the solver stack last, (C, C + 1, candidates, folds), in an array
+of their own that it eliminates in place.
 
 This module alone owns the fold layout. A table's n usable rows are dealt
 into folds by ``fold_assignment(n, folds, seed)``, so which ranks each
@@ -99,7 +101,7 @@ def _chol_solve_batched(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ----------
     A : ndarray, shape (..., C, C + 1)
         Symmetric normal matrices G with the right-hand side b appended as
-        column C.
+        column C. Overwritten: every caller hands over a fresh array.
 
     Returns
     -------
@@ -109,27 +111,27 @@ def _chol_solve_batched(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Index of the first column whose pivot fell at or below
         ``PIVOT_RTOL`` times the largest diagonal of its G, else -1.
 
-    The stack is moved to the last axis, so each step below is one
-    contiguous operation over every system. Gaussian elimination on a
-    symmetric G is the square-root-free Cholesky factorization G = L D L',
-    its pivots d_j are the squared diagonal of the Cholesky factor, and
-    eliminating column C along with G carries out the forward substitution
-    with L. One back substitution finishes the solve.
+    Each step below is one operation over every system, on ``A`` viewed
+    stack last as (C, C + 1, ...); the kernel stores its systems that way,
+    so the view is contiguous and nothing is copied. Gaussian elimination
+    on a symmetric G is the square-root-free Cholesky factorization
+    G = L D L', its pivots d_j are the squared diagonal of the Cholesky
+    factor, and eliminating column C along with G carries out the forward
+    substitution with L. One back substitution finishes the solve.
     """
-    A = np.asarray(A, dtype=np.float64)
     C = A.shape[-2]
-    W = np.moveaxis(A, (-2, -1), (0, 1)).copy()          # (C, C + 1, ...)
+    W = np.moveaxis(A, (-2, -1), (0, 1))                  # (C, C + 1, ...)
     thresh = PIVOT_RTOL * W[range(C), range(C)].max(axis=0)
     bad = np.full(A.shape[:-2], -1, dtype=np.int64)
-    d = np.empty((C,) + A.shape[:-2])
     for j in range(C):
-        pivot = W[j, j]
+        pivot = W[j, j, ...]            # becomes d_j, 1 where flagged
         bad[(pivot <= thresh) & (bad == -1)] = j
-        d[j] = np.where(pivot > thresh, pivot, 1.0)
-        W[j + 1:, j + 1:] -= (W[j + 1:, j] / d[j])[:, None] * W[j, j + 1:]
-    x = np.empty_like(d)
+        pivot[~(pivot > thresh)] = 1.0
+        W[j + 1:, j] /= pivot           # L's column j; no later step reads it
+        W[j + 1:, j + 1:] -= W[j + 1:, j, None] * W[j, j + 1:]
+    x = np.empty((C,) + A.shape[:-2])
     for j in reversed(range(C)):
-        x[j] = (W[j, C] - (W[j, j + 1:C] * x[j + 1:]).sum(axis=0)) / d[j]
+        x[j] = (W[j, C] - (W[j, j + 1:C] * x[j + 1:]).sum(axis=0)) / W[j, j]
     return np.moveaxis(x, 0, -1), bad
 
 
@@ -179,13 +181,17 @@ def _r2(predictions: np.ndarray, t: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _default_ids(cols: int, environment_ids) -> tuple[str, ...]:
+def _fitted(X, t, coef, intercept, environment_ids, **flags) -> LinearModel:
+    """The model of a fit, with its in-sample r_squared and log_mae."""
     if environment_ids is None:
-        return tuple(f"x{j}" for j in range(cols))
+        environment_ids = [f"x{j}" for j in range(X.shape[1])]
     ids = tuple(str(e) for e in environment_ids)
-    if len(ids) != cols:
+    if len(ids) != X.shape[1]:
         raise ValidationError("environment_ids length mismatch with design")
-    return ids
+    predictions = X @ coef + (intercept or 0.0)
+    return LinearModel(ids, coef, intercept, FitStats(
+        r_squared=_r2(predictions, t),
+        log_mae=float(np.abs(t - predictions).mean())), **flags)
 
 
 def fit_ols(X, t, with_intercept: bool = False,
@@ -200,14 +206,7 @@ def fit_ols(X, t, with_intercept: bool = False,
     X, t = _as_design(X, t, with_intercept)
     coef, intercept = _solve_normal_equations(X, t, with_intercept,
                                               environment_ids)
-    predictions = X @ coef + (intercept or 0.0)
-    return LinearModel(
-        environment_ids=_default_ids(X.shape[1], environment_ids),
-        coefficients=coef,
-        intercept=intercept,
-        stats=FitStats(r_squared=_r2(predictions, t),
-                       log_mae=float(np.abs(t - predictions).mean())),
-    )
+    return _fitted(X, t, coef, intercept, environment_ids)
 
 
 def fit_nnls(X, t, with_intercept: bool = False,
@@ -247,15 +246,8 @@ def fit_nnls(X, t, with_intercept: bool = False,
                               "converge; the design is likely degenerate"
                               ) from exc
     intercept = float(t.mean() - col_means @ coef) if with_intercept else None
-    predictions = X @ coef + (intercept or 0.0)
-    return LinearModel(
-        environment_ids=_default_ids(X.shape[1], environment_ids),
-        coefficients=coef,
-        intercept=intercept,
-        stats=FitStats(r_squared=_r2(predictions, t),
-                       log_mae=float(np.abs(t - predictions).mean())),
-        constrained_nonnegative=True,
-    )
+    return _fitted(X, t, coef, intercept, environment_ids,
+                   constrained_nonnegative=True)
 
 
 def r_squared(model: LinearModel, X, t) -> float:
@@ -348,12 +340,13 @@ def _fold_tables(Z: np.ndarray, usable: np.ndarray, cols: np.ndarray,
     -------
     tables : (held, train), or ``out``
         ``held`` (S, M, K, F): per held-out slot, table and column, each
-        fold's held-out value, padded with 0; S = ceil(R / F). ``train``
-        (M, K - 1, K, F): per table, the training systems [G | b] of every
-        fold, the product X'[X | t] over its rows minus the held-out
-        fold's, a view laid out as (M, F, K - 1, K). ``out[i]`` holds
-        ``held[:, i]``, then ``train[i]``, so each entry's F folds form one
-        contiguous run.
+        fold's held-out value, padded with 0; S = ceil(n / F) for the most
+        usable rows n of any table in the call. ``train`` (K - 1, K, M, F):
+        the training systems [G | b] of every table and fold, the product
+        X'[X | t] over its rows minus the held-out fold's, in a fresh
+        array laid out as ``_chol_solve_batched`` takes it. ``out[i]``
+        holds the held-out values padded to S = ceil(R / F), then the
+        systems, each entry's F folds one contiguous run.
     n_rows : ndarray, shape (M,)
         Usable rows per table.
 
@@ -366,17 +359,24 @@ def _fold_tables(Z: np.ndarray, usable: np.ndarray, cols: np.ndarray,
     """
     n_rows = usable.sum(axis=1)
     rows = _held_out_rows(usable, n_rows, folds, seed)
-    Z = np.vstack([Z, np.zeros((1, Z.shape[1]))])
-    K = np.shape(cols)[-1]
-    H = np.take(Z.ravel(), rows[..., None] * Z.shape[1]
-                + np.reshape(cols, (-1, 1, 1, K)))        # (M, F, S, K)
-    G = np.swapaxes(H[..., :-1], -1, -2) @ H              # (M, F, K - 1, K)
-    train = np.moveaxis(G.sum(axis=1, keepdims=True) - G, 1, -1)
     if out is None:
-        held = np.ascontiguousarray(np.transpose(H, (2, 0, 3, 1)))
-        return (held, train), n_rows
+        rows = rows[..., :-(-n_rows.max() // folds)]
+    K = np.shape(cols)[-1]
+    # The arrays whose size does not depend on S come first, so a call
+    # with narrower folds than an earlier one reuses the memory it freed.
+    train = (np.empty((K - 1, K) + rows.shape[:2]) if out is None
+             else np.moveaxis(out[:, -(K - 1):], 0, 2))
+    G = np.empty(rows.shape[:2] + (K - 1, K))
+    cols = np.reshape(cols, (-1, K))                      # (M or 1, K)
+    Z = np.take(np.vstack([Z, np.zeros((1, Z.shape[1]))]), cols, axis=1)
+    H = np.take(Z.reshape(-1, K), rows * len(cols)        # (M, F, S, K)
+                + np.arange(len(cols))[:, None, None], axis=0)
+    np.matmul(np.swapaxes(H[..., :-1], -1, -2), H, out=G)  # (M, F, K - 1, K)
+    np.subtract(G.sum(axis=1, keepdims=True).transpose(2, 3, 0, 1),
+                G.transpose(2, 3, 0, 1), out=train)
+    if out is None:
+        return (np.transpose(H, (2, 0, 3, 1)), train), n_rows
     out[:, :H.shape[2]] = np.moveaxis(H, 1, -1)
-    out[:, H.shape[2]:] = train
     return out, n_rows
 
 
@@ -398,36 +398,36 @@ def _cv_mse_tabled(tables, n_rows: np.ndarray, slots=None, cols=None
         Per fold, the first rank-deficient column of its training system,
         else -1 (see ``_chol_solve_batched``).
 
-    Own tables are the systems as they stand; from a store, every entry of
-    [G | b] and every held-out value is one gathered run of F folds. All
-    N x F systems go through one batched solve. Residuals are formed
-    explicitly on held-out rows rather than expanded as t'Pt - 2 beta'b +
-    beta'G beta, which cancels badly on near-exact fits: one fitted column
-    at a time, over every held-out slot, candidate and fold at once. Every
-    step works on fixed per-candidate shapes in one layout, so a
+    Own tables hold their systems as they stand; from a store, every entry
+    of [G | b] and every held-out value is one gathered run of F folds.
+    Either way all N x F systems are one fresh stack-last array, solved in
+    place in one call. Residuals are formed explicitly on held-out rows
+    rather than expanded as t'Pt - 2 beta'b + beta'G beta, which cancels
+    badly on near-exact fits: one fitted column at a time, over every
+    held-out slot, candidate and fold at once, into a C-order (S, N, F)
+    array, so slots are summed in order whatever the held-out layout. A
     candidate's result depends neither on the others in the stack nor on
     which kind of table holds it.
     """
     if slots is None:
-        held, train = tables
-        systems = np.moveaxis(train, -1, 1)               # (N, F, C, C + 1)
+        held, W = tables                                  # W: (C, C + 1, N, F)
         columns = iter(np.moveaxis(held, 2, 0))           # (C + 1, S, N, F)
     else:
         L, K, F = tables.shape[1:]                        # L = S + K - 1
         runs = tables.reshape(-1, F)      # (slot * L + row) * K + column
         at = slots * (L * K) + cols.T                     # (C + 1, N)
         fit = cols[:, :-1].T[:, None] + (L - K + 1)       # (C, 1, N)
-        systems = np.moveaxis(np.take(runs, at + fit * K, axis=0),
-                              (0, 1), (-2, -1))
+        W = np.take(runs, at + fit * K, axis=0)
         rows = np.arange(L - K + 1)[:, None] * K          # (S, 1)
         columns = (np.take(runs, rows + run, axis=0) for run in at)
-    beta, bad = _chol_solve_batched(systems)
+    beta, bad = _chol_solve_batched(np.moveaxis(W, (0, 1), (-2, -1)))
     coef = np.moveaxis(beta, -1, 0)                       # (C, N, F)
-    residual = next(columns) * coef[0]                    # (S, N, F)
+    residual = np.multiply(next(columns), coef[0], order="C")  # (S, N, F)
+    term = np.empty_like(residual)
     for c in coef[1:]:
-        residual += next(columns) * c
+        residual += np.multiply(next(columns), c, out=term)
     residual -= next(columns)
-    fold_sizes = _fold_sizes(n_rows, systems.shape[1])    # (N, F)
+    fold_sizes = _fold_sizes(n_rows, W.shape[-1])         # (N, F)
     cv = ((residual ** 2).sum(axis=0) / fold_sizes).mean(axis=-1)
     return cv, bad
 

@@ -63,6 +63,21 @@ def test_undecodable_input_exits_one_with_one_line(toy_inputs, capsys, which):
     assert path.name in err[0]
 
 
+@pytest.mark.parametrize("command", [["search", "--size", "3"],
+                                     ["pipeline"]])
+def test_failed_run_leaves_no_output_directory(toy_inputs, capsys, command):
+    scores, norms, tmp = toy_inputs
+    out = tmp / "out"
+    argv = [*command, "--scores", tmp / "missing.csv", "--norms", norms,
+            "--out", out]
+    assert run(argv) == 1
+    assert not out.exists()
+    out.mkdir()  # a directory that was there before the run stays
+    assert run(argv) == 1
+    assert out.is_dir()
+    assert len(capsys.readouterr().err.splitlines()) == 2
+
+
 def _children(pid: int) -> list[str]:
     try:
         return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
@@ -320,6 +335,19 @@ class TestSearchCommand:
                 if line and not line.startswith(("#", "rank,"))]
         assert rows
         assert all("g4" in line for line in rows)
+
+    def test_ignoring_the_provenance_column(self, tmp_path):
+        # The demo table's provenance column holds text; naming it in
+        # --ignore-columns changes nothing.
+        ranked = []
+        for ignore in ("median57", "median57,provenance"):
+            out = tmp_path / ignore.replace(",", "-")
+            assert run(["search", "--scores", fixtures.demo_scores_path(),
+                        "--size", "2", "--min-games", "10", "--min-algos",
+                        "10", "--ignore-columns", ignore, "--threads", "1",
+                        "--out", out, "--quiet"]) == 0
+            ranked.append((out / "ranked.csv").read_bytes())
+        assert ranked[0] == ranked[1]
 
     def test_unknown_environment_exits_one(self, toy_inputs, capsys):
         scores, norms, tmp = toy_inputs

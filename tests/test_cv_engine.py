@@ -486,3 +486,32 @@ def test_cached_fold_layout_is_read_only():
     assert linreg._fold_layout(25, 10, 0, 30) is layout
     with pytest.raises(ValueError):
         layout[0, 0] = 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_own_table_scores_do_not_depend_on_the_stack(seed):
+    # Own tables pad every fold to the widest fold in the call, so beside
+    # a candidate with every row usable a 41-row candidate's folds take 7
+    # slots, and alone 5. Candidate 2 fits a copy of column 0 and is
+    # singular in every fold.
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(62, 6))
+    Z[:, 4] = Z[:, 0]
+    Z[:, 5] = Z[:, :3] @ np.array([0.5, -0.3, 0.2]) + rng.normal(0, 0.1, 62)
+    usable = np.ones((3, 62), dtype=bool)
+    for i in (0, 2):
+        usable[i, rng.choice(62, 21, replace=False)] = False
+    cols = np.array([[0, 1, 2, 5], [1, 2, 3, 5], [0, 4, 1, 5]])
+
+    def scored(which):
+        tables, n_rows = linreg._fold_tables(Z, usable[which], cols[which],
+                                             10, seed)
+        return tables[0].shape[0], linreg._cv_mse_tabled(tables, n_rows)
+
+    for i in (0, 2):
+        width, (cv, bad) = scored([i])
+        wide, (cv_beside, bad_beside) = scored([i, 1])
+        assert (width, wide) == (5, 7)
+        assert cv[0].tobytes() == cv_beside[0].tobytes()
+        assert np.array_equal(bad[0], bad_beside[0])
+        assert (bad[0] == -1).all() == (i == 0)

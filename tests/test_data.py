@@ -94,6 +94,19 @@ class TestLoadScores:
         assert table.environment_ids == ("Pong",)
         assert table.provenance == ("paper-x",)
 
+    def test_ignored_columns_are_left_unread(self, scores_csv):
+        # Requested names are matched before the provenance column is
+        # diverted, so ignoring it works; an ignored text column is not
+        # parsed as a number.
+        path = scores_csv([["a1", 1.0, "paper-x", 42.5, "see notes"]],
+                          header=["algorithm", "Pong", "provenance",
+                                  "median57", "notes"])
+        table, values = load_scores_with_values(
+            path, ("median57",), ignore=("Provenance", "notes"))
+        assert table.environment_ids == ("Pong",)
+        assert table.provenance is None
+        assert values == {"median57": {"a1": 42.5}}
+
     @pytest.mark.parametrize("raw", [
         b"\xef\xbb\xbfalgorithm,Pong\r\na1,5.0\r\n",
         b"algorithm,Pong\r\n\r\na1,5.0\r\n,\r\n\r\n",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,31 @@ class TestBatchedSolver:
         _, bad_ref = cholesky_reference(G, b)
         assert np.array_equal(bad, bad_ref)
         assert np.array_equal(bad, np.where(copied, copy, -1))
+
+    def test_stack_last_systems_are_solved_without_a_copy(self):
+        # The kernel hands the solver (C, C + 1, N, F) arrays viewed as
+        # (N, F, C, C + 1); eliminating them in place allocates less than
+        # one copy of the stack.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(800, 10, 20, 5))
+        t = rng.normal(size=(800, 10, 20, 1))
+        Xt = np.swapaxes(X, -1, -2)
+        G, b = Xt @ X, (Xt @ t)[..., 0]
+        stack_last = np.moveaxis(np.concatenate([G, b[..., None]], -1),
+                                 (-2, -1), (0, 1)).copy()
+        assert stack_last.shape == (5, 6, 800, 10)
+        tracemalloc.start()
+        try:
+            x, bad = _chol_solve_batched(
+                np.moveaxis(stack_last, (0, 1), (-2, -1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_last.nbytes
+        x_ref, bad_ref = cholesky_reference(G, b)
+        assert np.all(np.linalg.norm(x - x_ref, axis=-1)
+                      <= SOLVER_RTOL * np.linalg.norm(x_ref, axis=-1))
+        assert np.array_equal(bad, bad_ref)
 
 
 class TestFitOls:
@@ -289,6 +315,20 @@ class TestCrossValidatedMse:
         t = np.array([1.0, 2.2, 2.9, 4.1, 5.2])
         loo = cross_validated_mse(X, t, folds=5, seed=123)
         assert loo == pytest.approx(0.4263032821146524, rel=1e-12)
+
+    @pytest.mark.parametrize("with_intercept", [False, True])
+    def test_inputs_are_left_unchanged(self, with_intercept):
+        # The solver overwrites the systems it is handed; neither fit_ols
+        # nor cross_validated_mse may hand it anything of the caller's.
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(40, 4))
+        t = X @ np.array([0.4, -0.2, 0.1, 0.3]) + rng.normal(0, 0.1, 40)
+        X_before, t_before = X.copy(), t.copy()
+        fit_ols(X, t, with_intercept)
+        cross_validated_mse(X, t, 10, 0, with_intercept)
+        fit_ols(X[:, :1], t, with_intercept)    # one column: X'X is 1 x 1
+        assert np.array_equal(X, X_before)
+        assert np.array_equal(t, t_before)
 
     def test_deterministic_to_the_bit(self):
         rng = np.random.default_rng(32)

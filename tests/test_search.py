@@ -276,10 +276,32 @@ class TestMaskTables:
         for key, slot in ctx.table_slot.items():
             mask = np.unpackbits(np.frombuffer(key, dtype=np.uint8),
                                  count=62, bitorder="little").view(bool)
+            # A table of its own pads to its own widest fold; the slot's
+            # rows past that hold exact zeros.
             (held, train), _ = _fold_tables(ctx.X, mask[None],
                                             np.arange(31), 10, 0)
-            assert np.array_equal(ctx.tables[slot, :7], held[:, 0])
-            assert np.array_equal(ctx.tables[slot, 7:], train[0])
+            width = held.shape[0]
+            assert width == -(-mask.sum() // 10)
+            assert np.array_equal(ctx.tables[slot, :width], held[:, 0])
+            assert not ctx.tables[slot, width:7].any()
+            assert np.array_equal(ctx.tables[slot, 7:], train[:, :, 0])
+
+    def test_scoring_from_the_store_leaves_it_unchanged(self):
+        # The solver overwrites the systems it is handed; a block scored
+        # from stored tables hands it a gathered copy, never the store.
+        ds = make_dataset(m=62, n=20, seed=50, missing_fraction=0.1,
+                          gaps="block")
+        ctx = _build_context(ds, SearchConfig(subset_size=5))
+        total = math.comb(len(ctx.pool), ctx.k_free)
+        spans = [(start, min(start + 500, total))
+                 for start in range(0, total, 500)]
+        first = [_score_block(ctx, *span) for span in spans]
+        stored, slab = dict(ctx.table_slot), ctx.tables.tobytes()
+        assert stored
+        again = [_score_block(ctx, *span) for span in spans]
+        assert ctx.table_slot == stored
+        assert ctx.tables.tobytes() == slab
+        assert pickle.dumps(again) == pickle.dumps(first)
 
     def test_store_is_allocated_once(self):
         # In blocks of 200, later blocks add tables to the store too; it
