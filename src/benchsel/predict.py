@@ -103,7 +103,15 @@ def approx_relative_error_from_log_mae(mae_log: float,
 
 
 def inversion_count(order_a, order_b) -> int:
-    """Number of item pairs ranked in opposite order by the two rankings."""
+    """Number of item pairs ranked in opposite order by the two rankings.
+
+    Counted by a bottom-up merge sort of order_a's positions in order_b:
+    merging two sorted runs moves each item past exactly the items of the
+    other run that it is out of order with, so each merge level adds half
+    the total distance its items move. A stable sort of keys that are
+    already in sorted runs merges those runs, so a level costs O(n) and
+    the count O(n log n).
+    """
     order_a = list(order_a)
     order_b = list(order_b)
     if len(set(order_a)) != len(order_a) or len(set(order_b)) != len(order_b):
@@ -112,8 +120,14 @@ def inversion_count(order_a, order_b) -> int:
         raise ValidationError("rankings must cover the same items")
     position_b = {item: i for i, item in enumerate(order_b)}
     sequence = np.array([position_b[item] for item in order_a], dtype=np.int64)
-    return sum(int((sequence[i + 1:] < sequence[i]).sum())
-               for i in range(len(sequence)))
+    n = len(sequence)
+    index, inversions, width = np.arange(n), 0, 1
+    while width < n:  # runs of ``width`` are sorted; merge them in pairs
+        order = np.argsort(index // (2 * width) * n + sequence, kind="stable")
+        inversions += int(np.abs(order - index).sum()) // 2
+        sequence = sequence[order]
+        width *= 2
+    return inversions
 
 
 def make_report(algorithm_id: str, predicted: float,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from benchsel.analysis import (
+    _t_two_sided,
     correlated_pairs,
     export_dot,
     fairness_report,
@@ -192,6 +193,42 @@ class TestFairnessReport:
     def test_too_few_reports_rejected(self):
         with pytest.raises(DegenerateDataError):
             fairness_report(self._reports([[0.1, -0.1]]))
+
+
+class TestStudentTail:
+    def test_agrees_with_scipy(self):
+        from scipy.special import stdtr
+        # A seeded grid: df log-uniform on [1, 1e4]; |t| log-uniform or
+        # uniform on [1e-6, 40], or within 5 % of where the continued
+        # fraction changes sides and its steps nearly cancel, or zero. Last,
+        # a sweep across that point at df = 1e4, where the cancellation
+        # costs the most.
+        rng = np.random.default_rng(0)
+        n = 1500
+        df = np.exp(rng.uniform(0.0, np.log(1e4), 3 * n + 20))
+        df = np.concatenate([df, np.full(400, 1e4)])
+        switch = np.sqrt(df * 1.5 / (df / 2 + 1))  # x = (a + 1) / (a + 2.5)
+        t = np.concatenate([
+            np.exp(rng.uniform(np.log(1e-6), np.log(40.0), n)),
+            rng.uniform(1e-6, 40.0, n),
+            switch[2 * n:3 * n] * rng.uniform(0.95, 1.05, n),
+            np.zeros(20),
+            switch[-400:] * np.linspace(0.99, 1.01, 400)])
+        ref = 2 * stdtr(df, -t)
+        p = np.array([_t_two_sided(float(x), float(d)) for x, d in zip(t, df)])
+        assert [_t_two_sided(-float(x), float(d))
+                for x, d in zip(t, df)] == p.tolist()
+        assert ((p >= 0) & (p <= 1)).all()
+        assert (p[t == 0] == 1.0).all()
+        kept = ref >= 1e-290
+        rel = np.abs(p[kept] - ref[kept]) / ref[kept]
+        worst = rel.argmax()
+        assert rel[worst] <= 1e-12, (
+            f"t={t[kept][worst]!r}, df={df[kept][worst]!r}: "
+            f"{p[kept][worst]!r} against {ref[kept][worst]!r}")
+        # p is near 0.08 in the sweep, so only the fraction's rounding
+        # limits it there.
+        assert rel[-400:].max() <= 2e-13
 
 
 class TestExportDot:

@@ -129,6 +129,16 @@ def _start_wide_search(tmp_path, threads: int,
         start_new_session=True)
 
 
+def _exit_report(proc: subprocess.Popen) -> str:
+    """How an exited caller ended: its exit code and its stderr, unless a
+    process it started still holds that open."""
+    try:
+        err = repr(proc.communicate(timeout=5)[1])
+    except subprocess.TimeoutExpired:
+        err = "still held open by another process"
+    return f"the caller exited {proc.returncode}, stderr {err}"
+
+
 def _interrupted_search(tmp_path, interrupt, launcher=("-m", "benchsel.cli"),
                         started=2) -> tuple[int, str]:
     """Run a search on three processes, the caller and two workers, in a
@@ -137,10 +147,19 @@ def _interrupted_search(tmp_path, interrupt, launcher=("-m", "benchsel.cli"),
     exit code and stderr once the group has no process left."""
     proc = _start_wide_search(tmp_path, 3, launcher)
     try:
-        deadline = time.monotonic() + 60
-        while not (len(workers := _children(proc.pid)) == started
-                   and all(map(_ignores_sigint, workers))):
-            assert proc.poll() is None and time.monotonic() < deadline
+        start = time.monotonic()
+        while True:
+            workers = _children(proc.pid)
+            ignoring = [pid for pid in workers if _ignores_sigint(pid)]
+            if len(workers) == len(ignoring) == started:
+                break
+            waited = time.monotonic() - start
+            state = (f"after {waited:.1f} s, {len(workers)} of {started} "
+                     f"workers listed {workers}, {len(ignoring)} of them "
+                     "ignoring SIGINT")
+            if proc.poll() is not None:
+                pytest.fail(f"{state}; {_exit_report(proc)}")
+            assert waited < 60, state
             time.sleep(0.05)
         interrupt(proc.pid, workers)
         err = proc.communicate(timeout=60)[1]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchsel.data import (
     NormalizationTable,
@@ -211,6 +213,12 @@ class TestInversionCount:
             a = list(rng.permutation(items))
             b = list(rng.permutation(items))
             assert inversion_count(a, b) == pairwise_inversions(a, b)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(orders=st.integers(0, 70).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.permutations(range(n)))))
+    def test_merge_count_matches_pairwise_reference(self, orders):
+        assert inversion_count(*orders) == pairwise_inversions(*orders)
 
     def test_identical_orderings(self):
         order = ["a", "b", "c", "d"]
