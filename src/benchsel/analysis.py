@@ -5,6 +5,7 @@ subset-score predictions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -139,30 +140,22 @@ def pearson_matrix(dataset: PreparedDataset) -> CorrelationGraph:
 
     The diagonal is 1 wherever an environment has at least two scores.
     Off-diagonal cells with fewer than 3 common algorithms, or with a
-    zero-variance column, are NaN.
+    zero-variance column, are NaN; the rest are two-pass sums over their pair.
     """
     X = dataset.log_scores
     present = dataset.present
-    n = dataset.n_environments
-    pcc = np.full((n, n), np.nan)
-    counts = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        counts[a, a] = int(present[:, a].sum())
-        if counts[a, a] >= 2:
-            pcc[a, a] = 1.0
-        for b in range(a + 1, n):
-            both = present[:, a] & present[:, b]
-            m = int(both.sum())
-            counts[a, b] = counts[b, a] = m
-            if m < MIN_PAIR_COUNT:
-                continue
-            x = X[both, a]
-            y = X[both, b]
-            dx = x - x.mean()
-            dy = y - y.mean()
-            denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
-            if denom == 0.0:
-                continue
+    shown = present.astype(np.float64)
+    counts = (shown.T @ shown).astype(np.int64)  # exact below 2**53 rows
+    pcc = np.full(counts.shape, np.nan)
+    np.fill_diagonal(pcc, np.where(counts.diagonal() >= 2, 1.0, np.nan))
+    for a, b in zip(*np.nonzero(np.triu(counts >= MIN_PAIR_COUNT, 1))):
+        both = present[:, a] & present[:, b]
+        x = X[both, a]
+        y = X[both, b]
+        dx = x - x.mean()
+        dy = y - y.mean()
+        denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
+        if denom != 0.0:
             r = float((dx * dy).sum()) / denom
             pcc[a, b] = pcc[b, a] = min(1.0, max(-1.0, r))
     return CorrelationGraph(environments=dataset.environment_ids, pcc=pcc,
@@ -171,26 +164,21 @@ def pearson_matrix(dataset: PreparedDataset) -> CorrelationGraph:
 
 def correlated_pairs(graph: CorrelationGraph, threshold: float = 0.9,
                      top_n: int = 24) -> list[CorrelatedPair]:
-    """Top environment pairs by PCC, tagged when strictly above threshold."""
+    """Top pairs by PCC, ties by name, tagged when strictly above threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError("threshold must lie in [0, 1]")
     if top_n < 0:
         raise ValidationError("top_n must be >= 0")
-    pairs = []
-    n = len(graph.environments)
-    for a in range(n):
-        for b in range(a + 1, n):
-            r = graph.pcc[a, b]
-            if not np.isfinite(r):
-                continue
-            env_a, env_b = sorted((graph.environments[a],
-                                   graph.environments[b]))
-            pairs.append(CorrelatedPair(
-                env_a=env_a, env_b=env_b, pcc=float(r),
-                n_pairs=int(graph.n_pairs[a, b]),
-                highly_correlated=bool(r > threshold)))
-    pairs.sort(key=lambda p: (-p.pcc, p.env_a, p.env_b))
-    return pairs[:top_n]
+    names = sorted(graph.environments)
+    rank = np.array([names.index(e) for e in graph.environments])
+    a, b = np.nonzero(np.triu(np.isfinite(graph.pcc), 1))
+    first, second = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
+    r = graph.pcc[a, b]
+    n_pairs = graph.n_pairs[a, b]
+    return [CorrelatedPair(env_a=names[first[k]], env_b=names[second[k]],
+                           pcc=float(r[k]), n_pairs=int(n_pairs[k]),
+                           highly_correlated=bool(r[k] > threshold))
+            for k in np.lexsort((second, first, -r))[:top_n]]
 
 
 def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
@@ -264,10 +252,10 @@ def fairness_report(reports, alpha: float = 0.05) -> FairnessReport:
     """Split algorithms into performance tertiles and compare their errors.
 
     Algorithms sort ascending by true summary and split into three groups
-    (any remainder goes to the lower tertiles). For each pair of groups a
-    Welch two-sided t-test runs on the absolute relative errors (accuracy)
-    and on the signed relative errors (bias), significant below ``alpha``,
-    which must lie strictly between 0 and 1.
+    (any remainder goes to the lower tertiles; 6 algorithms leave each at
+    least 2). For each pair of groups a Welch two-sided t-test runs on the
+    absolute relative errors (accuracy) and on the signed relative errors
+    (bias), significant below ``alpha``, which must lie in (0, 1).
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -278,33 +266,24 @@ def fairness_report(reports, alpha: float = 0.05) -> FairnessReport:
             f"fairness audit needs at least 6 scored algorithms, got "
             f"{len(usable)}")
     usable.sort(key=lambda r: (r.true_summary, r.algorithm_id))
-    base, rem = divmod(len(usable), 3)
-    sizes = [base + (1 if i < rem else 0) for i in range(3)]
     names = ("low", "mid", "high")
     groups: dict[str, GroupStats] = {}
     errors: dict[str, np.ndarray] = {}
-    cursor = 0
-    for name, size in zip(names, sizes):
-        members = usable[cursor:cursor + size]
-        cursor += size
-        if len(members) < 2:
-            raise DegenerateDataError(f"tertile {name!r} has fewer than 2 members")
-        signed = np.array([r.relative_error for r in members])
-        errors[name] = signed
+    for name, tertile in zip(names, np.array_split(np.arange(len(usable)), 3)):
+        members = [usable[i] for i in tertile]
+        errors[name] = signed = np.array([r.relative_error for r in members])
         groups[name] = GroupStats(
             algorithm_ids=tuple(r.algorithm_id for r in members),
             mean_abs_rel_error=float(np.abs(signed).mean()),
             mean_rel_error=float(signed.mean()))
     pairwise: dict[tuple[str, str], PairTest] = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            a, b = names[i], names[j]
-            t_abs, p_abs = _welch_two_sided(np.abs(errors[a]), np.abs(errors[b]))
-            t_sgn, p_sgn = _welch_two_sided(errors[a], errors[b])
-            pairwise[(a, b)] = PairTest(
-                t_abs=t_abs, p_abs=p_abs, t_signed=t_sgn, p_signed=p_sgn,
-                significant_abs=bool(p_abs < alpha),
-                significant_signed=bool(p_sgn < alpha))
+    for a, b in itertools.combinations(names, 2):
+        t_abs, p_abs = _welch_two_sided(np.abs(errors[a]), np.abs(errors[b]))
+        t_sgn, p_sgn = _welch_two_sided(errors[a], errors[b])
+        pairwise[(a, b)] = PairTest(
+            t_abs=t_abs, p_abs=p_abs, t_signed=t_sgn, p_signed=p_sgn,
+            significant_abs=bool(p_abs < alpha),
+            significant_signed=bool(p_sgn < alpha))
     return FairnessReport(groups=groups, pairwise=pairwise, alpha=alpha)
 
 
@@ -328,7 +307,9 @@ def export_dot(pairs, categories: dict[str, str] | None = None) -> str:
     Nodes are the distinct endpoints of ``pairs``, colored by category
     (categories sorted, palette assigned in that order); edges carry the
     PCC to two decimals and are bold iff the pair is highly correlated.
+    Names and categories are quoted with each ``"`` escaped as ``\\"``.
     """
+    escapes = str.maketrans({'"': '\\"'})  # DOT's one quoted-string escape
     categories = categories or {}
     index, labels = EnvironmentIndex(categories), list(categories.values())
     nodes = sorted({e for p in pairs for e in (p.env_a, p.env_b)})
@@ -345,15 +326,13 @@ def export_dot(pairs, categories: dict[str, str] | None = None) -> str:
         category = category_of.get(node)
         attrs = [f'fillcolor="{fill[category]}"'] if category in fill else []
         if category:
-            attrs.append(f'tooltip="{category}"')
+            attrs.append(f'tooltip="{category.translate(escapes)}"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{node}"{suffix};')
+        lines.append(f'  "{node.translate(escapes)}"{suffix};')
     for p in pairs:
-        attrs = [f'label="{p.pcc:.2f}"']
-        if p.highly_correlated:
-            attrs.append("style=bold")
-            attrs.append("penwidth=2.0")
-        lines.append(f'  "{p.env_a}" -- "{p.env_b}" [{", ".join(attrs)}];')
+        bold = ", style=bold, penwidth=2.0" if p.highly_correlated else ""
+        a, b = (e.translate(escapes) for e in (p.env_a, p.env_b))
+        lines.append(f'  "{a}" -- "{b}" [label="{p.pcc:.2f}"{bold}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

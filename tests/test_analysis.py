@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from benchsel.analysis import (
+    CorrelatedPair,
     _t_two_sided,
     correlated_pairs,
     export_dot,
@@ -95,6 +96,80 @@ class TestPearsonMatrix:
         finite = np.isfinite(base.pcc)
         assert np.abs(base.pcc[finite]
                       - transformed.pcc[finite]).max() <= 1e-10
+
+
+def _gappy_dataset(seed):
+    """A random table with 25 % gaps, shuffled names, one constant column,
+    a pair of columns sharing 2 rows, and two groups of duplicated columns
+    (whose pairs tie at a PCC of exactly 1)."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(20, 60)), 14
+    X = rng.uniform(0.0, 3.0, size=(m, n))
+    X[:, 1:][rng.random((m, n - 1)) < 0.25] = np.nan  # column 0 is full
+    X[:, 1] = np.where(np.isnan(X[:, 1]), np.nan, 1.5)
+    X[:, 2:4] = np.nan  # columns 2 and 3 share rows 2 and 3 only
+    X[0:4, 2], X[2:6, 3] = rng.uniform(0.0, 3.0, (2, 4))
+    for copy, source in ((5, 4), (6, 4), (7, 4), (9, 8), (10, 8)):
+        X[:, copy] = np.where(rng.random(m) < 0.2, np.nan, X[:, source])
+    names = tuple(f"g{j:02d}" for j in rng.permutation(n))
+    return PreparedDataset(tuple(f"a{i}" for i in range(m)), names, X,
+                           X[:, 0].copy(), "median", FilterConfig(1, 1))
+
+
+def _reference_graph(ds):
+    """Each cell on its own: a pair's common rows, then means, then
+    centered sums, as pearson_matrix's contract states."""
+    X, present, n = ds.log_scores, ds.present, ds.n_environments
+    pcc = np.full((n, n), np.nan)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for a in range(n):
+        for b in range(a, n):
+            both = present[:, a] & present[:, b]
+            counts[a, b] = counts[b, a] = both.sum()
+            if a == b:
+                pcc[a, a] = 1.0 if both.sum() >= 2 else np.nan
+                continue
+            if both.sum() < 3:
+                continue
+            dx = X[both, a] - X[both, a].mean()
+            dy = X[both, b] - X[both, b].mean()
+            denom = np.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
+            if denom > 0.0:
+                r = float((dx * dy).sum()) / denom
+                pcc[a, b] = pcc[b, a] = min(1.0, max(-1.0, r))
+    return pcc, counts
+
+
+class TestRewriteAgainstReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matrix_and_pair_order(self, seed):
+        ds = _gappy_dataset(seed)
+        graph = pearson_matrix(ds)
+        pcc, counts = _reference_graph(ds)
+        assert np.array_equal(graph.pcc, pcc, equal_nan=True)
+        assert np.array_equal(graph.n_pairs, counts)
+        assert graph.n_pairs.dtype == np.int64
+        # The generator's cases are there: a constant column, a pair with
+        # too few common rows, and ties whose names are not in column order.
+        assert np.isnan(np.delete(pcc[1], 1)).all()
+        assert counts[2, 3] == 2 and np.isnan(pcc[2, 3])
+        expected = []
+        for a in range(ds.n_environments):
+            for b in range(a + 1, ds.n_environments):
+                if np.isfinite(pcc[a, b]):
+                    env_a, env_b = sorted((ds.environment_ids[a],
+                                           ds.environment_ids[b]))
+                    expected.append(CorrelatedPair(
+                        env_a, env_b, float(pcc[a, b]), int(counts[a, b]),
+                        bool(pcc[a, b] > 0.5)))
+        expected.sort(key=lambda p: (-p.pcc, p.env_a, p.env_b))
+        position = ds.environment_ids.index
+        ties = [p for p in expected if p.pcc == 1.0]
+        assert len(ties) >= 4
+        assert any(position(p.env_a) > position(p.env_b) for p in ties)
+        for top_n in (0, 1, 24, len(expected)):
+            assert correlated_pairs(graph, threshold=0.5,
+                                    top_n=top_n) == expected[:top_n]
 
 
 class TestCorrelatedPairs:
@@ -265,6 +340,18 @@ class TestExportDot:
         pairs = correlated_pairs(graph, top_n=10)
         categories = {"env01": "maze", "env02": "shooter"}
         assert export_dot(pairs, categories) == export_dot(pairs, categories)
+
+    def test_quotes_are_escaped(self):
+        pair = CorrelatedPair('Pong', 'Say "Hi"', 0.95, 10, True)
+        lines = export_dot([pair], {'Say "Hi"': 'a "kind"'}).splitlines()
+        assert lines[-3:] == [
+            '  "Say \\"Hi\\"" [fillcolor="#8dd3c7", tooltip="a \\"kind\\""];',
+            '  "Pong" -- "Say \\"Hi\\"" [label="0.95", style=bold, '
+            'penwidth=2.0];',
+            "}"]
+        # With each \" removed, every line's quotes pair up.
+        assert all(line.replace('\\"', "").count('"') % 2 == 0
+                   for line in lines)
 
     def test_categories_colored(self):
         ds = make_dataset(m=30, n=4, seed=66)

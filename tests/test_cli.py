@@ -111,7 +111,9 @@ def _start_wide_search(tmp_path, threads: int,
                        launcher=("-m", "benchsel.cli")) -> subprocess.Popen:
     """Start a size-5 search on ``threads`` processes in a process group
     of its own, writing to ``tmp_path / "out"``, by running Python with
-    ``launcher`` and the command's arguments."""
+    ``launcher`` and the command's arguments. SIGINT is reset to its
+    default first, so the search installs its KeyboardInterrupt handler
+    even when pytest was started with SIGINT ignored."""
     # 62 algorithms on the 57 shipped games: C(57, 5) candidates keep two
     # workers busy for several seconds.
     rng = np.random.default_rng(3)
@@ -126,7 +128,8 @@ def _start_wide_search(tmp_path, threads: int,
          "--threads", str(threads), "--scores", str(scores),
          "--out", str(tmp_path / "out"), "--quiet"],
         env=_src_env(), stderr=subprocess.PIPE, text=True,
-        start_new_session=True)
+        start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
 
 
 def _exit_report(proc: subprocess.Popen) -> str:
