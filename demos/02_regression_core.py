@@ -1,9 +1,9 @@
-"""The dense least-squares core: plain fits, non-negative fits, and the
-seeded cross-validation used to score candidate subsets.
+"""The dense least-squares core: plain fits and the seeded
+cross-validation used to score candidate subsets.
 """
 import numpy as np
 
-from benchsel.linreg import cross_validated_mse, fit_nnls, fit_ols
+from benchsel.linreg import cross_validated_mse, fit_ols
 
 rng = np.random.default_rng(0)
 X = rng.uniform(0.0, 3.0, size=(80, 4))
@@ -13,10 +13,6 @@ t = X @ true_weights + rng.normal(0.0, 0.05, size=80)
 ols = fit_ols(X, t, environment_ids=("a", "b", "c", "d"))
 print("ols coefficients:  ", np.round(ols.coefficients, 4))
 print("ols r_squared:     ", round(ols.stats.r_squared, 5))
-
-# the same fit under a non-negativity constraint (order-preserving weights)
-nnls = fit_nnls(X, t, environment_ids=("a", "b", "c", "d"))
-print("nnls coefficients: ", np.round(nnls.coefficients, 4))
 
 # k-fold CV is a pure function of (data, folds, seed): same seed, same answer
 for seed in (0, 0, 1):

@@ -40,7 +40,6 @@ from .linreg import (
     FitStats,
     LinearModel,
     cross_validated_mse,
-    fit_nnls,
     fit_ols,
     predict_linear,
     r_squared,

@@ -307,9 +307,9 @@ def export_dot(pairs, categories: dict[str, str] | None = None) -> str:
     Nodes are the distinct endpoints of ``pairs``, colored by category
     (categories sorted, palette assigned in that order); edges carry the
     PCC to two decimals and are bold iff the pair is highly correlated.
-    Names and categories are quoted with each ``"`` escaped as ``\\"``.
+    Names and categories are quoted, each ``"`` and ``\\`` escaped by a ``\\``.
     """
-    escapes = str.maketrans({'"': '\\"'})  # DOT's one quoted-string escape
+    escapes = str.maketrans({'"': '\\"', "\\": "\\\\"})
     categories = categories or {}
     index, labels = EnvironmentIndex(categories), list(categories.values())
     nodes = sorted({e for p in pairs for e in (p.env_a, p.env_b)})

@@ -9,12 +9,11 @@ hand-rolled square-root-free Cholesky (L D L') that is
   * pivot-aware: a pivot below 1e-10 of the largest Gram diagonal flags
     that system as rank-deficient instead of raising mid-stack.
 
-The same solver backs the unconstrained fit and k-fold cross-validation;
-the non-negative fit hands its one small problem to SciPy's Lawson-Hanson
-solver, which ``fit_nnls`` imports on first use. Cross-validation
-downdates: with the target stored as the design's last column, one product
-over each fold's held-out rows gives that fold's Gram and right-hand side,
-and every training system is the full system minus that. One kernel does
+The same solver backs the least-squares fit and k-fold cross-validation,
+so nothing here needs more than numpy. Cross-validation downdates: with
+the target stored as the design's last column, one product over each
+fold's held-out rows gives that fold's Gram and right-hand side, and
+every training system is the full system minus that. One kernel does
 it all: ``_fold_tables`` builds a stack of tables from usable-row masks,
 each holding its rows' held-out values and training systems over some
 columns, and ``_cv_mse_tabled`` solves all candidates x folds systems in
@@ -162,36 +161,12 @@ def _as_design(X, t, with_intercept: bool):
     return X, t
 
 
-def _solve_normal_equations(X, t, with_intercept, environment_ids):
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))]) if with_intercept else X
-    beta, bad = _chol_solve_batched(Xa.T @ np.column_stack([Xa, t]))
-    if bad != -1:
-        raise SingularMatrixError(
-            _column_name(int(bad), X.shape[1], environment_ids))
-    if with_intercept:
-        return beta[:-1], float(beta[-1])
-    return beta, None
-
-
 def _r2(predictions: np.ndarray, t: np.ndarray) -> float:
     ss_res = float(((t - predictions) ** 2).sum())
     ss_tot = float(((t - t.mean()) ** 2).sum())
     if ss_tot == 0.0:
         return 0.0
     return 1.0 - ss_res / ss_tot
-
-
-def _fitted(X, t, coef, intercept, environment_ids, **flags) -> LinearModel:
-    """The model of a fit, with its in-sample r_squared and log_mae."""
-    if environment_ids is None:
-        environment_ids = [f"x{j}" for j in range(X.shape[1])]
-    ids = tuple(str(e) for e in environment_ids)
-    if len(ids) != X.shape[1]:
-        raise ValidationError("environment_ids length mismatch with design")
-    predictions = X @ coef + (intercept or 0.0)
-    return LinearModel(ids, coef, intercept, FitStats(
-        r_squared=_r2(predictions, t),
-        log_mae=float(np.abs(t - predictions).mean())), **flags)
 
 
 def fit_ols(X, t, with_intercept: bool = False,
@@ -204,50 +179,23 @@ def fit_ols(X, t, with_intercept: bool = False,
     stay comparable across modes.
     """
     X, t = _as_design(X, t, with_intercept)
-    coef, intercept = _solve_normal_equations(X, t, with_intercept,
-                                              environment_ids)
-    return _fitted(X, t, coef, intercept, environment_ids)
-
-
-def fit_nnls(X, t, with_intercept: bool = False,
-             environment_ids: Sequence[str] | None = None) -> LinearModel:
-    """Least squares with every coefficient constrained to be >= 0.
-
-    Non-negative weights buy an ordering guarantee that unconstrained fits
-    cannot: no score built from a strict subset can be *strictly* order
-    preserving (two algorithms may differ only on a game the subset never
-    sees), but a non-negative combination of monotonically transformed
-    scores is weakly order preserving -- an algorithm that dominates
-    another on every environment never ranks below it. Unconstrained
-    fits trade that guarantee for accuracy; this one keeps it.
-
-    The intercept, when requested, stays unconstrained: it is profiled out
-    by centering the design and target, which leaves an equivalent pure
-    NNLS problem in the coefficients. That problem goes to SciPy's
-    Lawson-Hanson solver, ``scipy.optimize.nnls``, imported here rather
-    than at module level because loading it takes about half a second,
-    which only the first non-negative fit in a process pays. A design
-    whose columns are numerically dependent gets SciPy's solution, one of
-    the minimizers, rather than SingularMatrixError; a solve that does not
-    converge raises ValidationError.
-    """
-    from scipy.optimize import nnls
-
-    X, t = _as_design(X, t, with_intercept)
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))]) if with_intercept else X
+    beta, bad = _chol_solve_batched(Xa.T @ np.column_stack([Xa, t]))
+    if bad != -1:
+        raise SingularMatrixError(
+            _column_name(int(bad), X.shape[1], environment_ids))
+    coef, intercept = beta, None
     if with_intercept:
-        col_means = X.mean(axis=0)
-        A, y = X - col_means, t - t.mean()
-    else:
-        A, y = X, t
-    try:
-        coef, _ = nnls(A, y)
-    except RuntimeError as exc:
-        raise ValidationError("non-negative least squares failed to "
-                              "converge; the design is likely degenerate"
-                              ) from exc
-    intercept = float(t.mean() - col_means @ coef) if with_intercept else None
-    return _fitted(X, t, coef, intercept, environment_ids,
-                   constrained_nonnegative=True)
+        coef, intercept = beta[:-1], float(beta[-1])
+    if environment_ids is None:
+        environment_ids = [f"x{j}" for j in range(X.shape[1])]
+    ids = tuple(str(e) for e in environment_ids)
+    if len(ids) != X.shape[1]:
+        raise ValidationError("environment_ids length mismatch with design")
+    predictions = X @ coef + (intercept or 0.0)
+    return LinearModel(ids, coef, intercept, FitStats(
+        r_squared=_r2(predictions, t),
+        log_mae=float(np.abs(t - predictions).mean())))
 
 
 def r_squared(model: LinearModel, X, t) -> float:

@@ -306,6 +306,25 @@ class TestStudentTail:
         assert rel[-400:].max() <= 2e-13
 
 
+def _dot_strings(line):
+    """The quoted strings of one DOT line, read by DOT's two rules (``\\"``
+    is a quote, ``\\\\`` a backslash) and unescaped; None if one does not
+    close."""
+    strings, i = [], line.find('"')
+    while i != -1:
+        chars, i = [], i + 1
+        while i < len(line) and line[i] != '"':
+            if line[i] == "\\" and line[i + 1:i + 2] in ('"', "\\"):
+                i += 1
+            chars.append(line[i:i + 1])
+            i += 1
+        if i >= len(line):
+            return None
+        strings.append("".join(chars))
+        i = line.find('"', i + 1)
+    return strings
+
+
 class TestExportDot:
     def test_empty_pairs(self):
         doc = export_dot([])
@@ -352,6 +371,19 @@ class TestExportDot:
         # With each \" removed, every line's quotes pair up.
         assert all(line.replace('\\"', "").count('"') % 2 == 0
                    for line in lines)
+
+        # Backslashes are doubled, so a name ending in one still closes.
+        pairs = [CorrelatedPair("C:\\", "a\\b", 0.95, 10, True),
+                 CorrelatedPair("C:\\", 'Say "Hi"', 0.5, 10, False)]
+        lines += export_dot(pairs, {"a\\b": "tail\\"}).splitlines()
+        assert ('  "C:\\\\" -- "a\\\\b" [label="0.95", style=bold, '
+                'penwidth=2.0];') in lines
+        # Read by DOT's rules, every quoted string closes and every name
+        # and category comes back.
+        strings = [_dot_strings(line) for line in lines]
+        assert None not in strings
+        assert {'Say "Hi"', 'a "kind"', "C:\\", "a\\b", "tail\\"} <= {
+            q for qs in strings for q in qs}
 
     def test_categories_colored(self):
         ds = make_dataset(m=30, n=4, seed=66)

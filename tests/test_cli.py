@@ -606,6 +606,20 @@ class TestPredictCommand:
         assert err[0].startswith("benchsel: error: ")
         assert "broken.json" in err[0] and "environment_ids" in err[0]
 
+    def test_constrained_model_with_negative_weight_exits_one(
+            self, toy_inputs, capsys):
+        scores, norms, tmp = toy_inputs
+        model_path = tmp / "constrained.json"
+        model_path.write_text(
+            '{"format": "benchsel-model/1", "environment_ids": ["g1", "g2"],'
+            ' "coefficients": [0.6, -0.4], "constrained_nonnegative": true}')
+        rc = run(["predict", "--model", model_path, "--scores", scores,
+                  "--norms", norms, "--out", tmp / "constrained-out"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"benchsel: error: {model_path}: constrained model has a "
+            "negative coefficient"]
+
     @pytest.mark.parametrize("command", [["predict"], ["analyze", "fairness"]])
     def test_unknown_model_name_exits_one_listing_shipped_models(
             self, toy_inputs, capsys, command):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import nnls as scipy_nnls
 
 from benchsel.errors import (
     EnvironmentLookupError,
@@ -23,7 +22,6 @@ from benchsel.linreg import (
     LinearModel,
     _chol_solve_batched,
     cross_validated_mse,
-    fit_nnls,
     fit_ols,
     predict_linear,
     r_squared,
@@ -190,102 +188,6 @@ class TestFitOls:
             fit_ols(np.ones((40, 17)), np.ones(40))
 
 
-class TestFitNnls:
-    def test_recovers_true_nonnegative_solution(self):
-        # x2 orthogonal to both x1 and the target, so OLS already gives
-        # exactly (3, 0); NNLS must agree.
-        X = np.array([[1.0, 1.0], [2.0, -1.0], [3.0, -1.0], [4.0, 1.0]])
-        t = 3.0 * X[:, 0]
-        model = fit_nnls(X, t)
-        assert model.coefficients == pytest.approx([3.0, 0.0], abs=1e-12)
-        assert model.constrained_nonnegative
-
-    def test_matches_ols_when_constraint_inactive(self):
-        rng = np.random.default_rng(21)
-        X = rng.uniform(0.5, 2.0, size=(60, 4))
-        t = X @ np.array([1.0, 0.5, 2.0, 0.25]) + rng.normal(0, 0.01, 60)
-        constrained = fit_nnls(X, t)
-        unconstrained = fit_ols(X, t)
-        assert (unconstrained.coefficients >= 0).all()
-        assert np.abs(constrained.coefficients
-                      - unconstrained.coefficients).max() <= 1e-9
-
-    def test_negative_relation_clamps_to_zero(self):
-        X = np.arange(1.0, 7.0)[:, None]
-        t = -X[:, 0]
-        model = fit_nnls(X, t)
-        assert model.coefficients[0] == 0.0
-        assert model.stats.r_squared <= 0.0
-
-    def test_kkt_conditions_random_problems(self):
-        rng = np.random.default_rng(22)
-        for _ in range(50):
-            rows = int(rng.integers(15, 80))
-            cols = int(rng.integers(1, 9))
-            X = rng.normal(size=(rows, cols))
-            t = rng.normal(size=rows)
-            model = fit_nnls(X, t)
-            coef = model.coefficients
-            gradient = X.T @ (X @ coef - t)  # d/dcoef of 0.5*SSE
-            assert (coef >= 0).all()
-            active = coef == 0.0
-            assert np.abs(gradient[~active]).max(initial=0.0) <= 1e-8
-            assert gradient[active].min(initial=0.0) >= -1e-8
-
-    def test_kkt_conditions_near_collinear_problems(self):
-        # Columns mix two latent factors plus 0.05 noise, so the passive
-        # sets the solver meets are nearly rank-deficient.
-        rng = np.random.default_rng(25)
-        for _ in range(50):
-            rows = int(rng.integers(10, 81))
-            cols = int(rng.integers(1, min(16, rows)))
-            factors = rng.normal(size=(rows, 2))
-            X = (factors @ rng.normal(size=(2, cols))
-                 + rng.normal(0, 0.05, size=(rows, cols)))
-            t = factors @ rng.normal(size=2) + rng.normal(0, 0.05, size=rows)
-            coef = fit_nnls(X, t).coefficients
-            gradient = X.T @ (X @ coef - t)
-            assert (coef >= 0).all()
-            active = coef == 0.0
-            assert np.abs(gradient[~active]).max(initial=0.0) <= 1e-8
-            assert gradient[active].min(initial=0.0) >= -1e-8
-
-    def test_solver_failure_is_a_validation_error(self, monkeypatch):
-        import scipy.optimize
-
-        def give_up(A, b):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(scipy.optimize, "nnls", give_up)
-        X = np.random.default_rng(26).normal(size=(10, 2))
-        with pytest.raises(ValidationError, match="non-negative least "
-                           "squares failed to converge"):
-            fit_nnls(X, X[:, 0])
-
-    def test_agrees_with_scipy(self):
-        rng = np.random.default_rng(23)
-        for _ in range(25):
-            X = rng.normal(size=(40, 5))
-            t = rng.normal(size=40)
-            ours = fit_nnls(X, t).coefficients
-            ref, _ = scipy_nnls(X, t)
-            assert np.abs(ours - ref).max() <= 1e-8 * max(1.0, ref.max())
-
-    def test_intercept_profiled_out(self):
-        rng = np.random.default_rng(24)
-        X = rng.uniform(0, 2, size=(50, 3))
-        t = X @ np.array([0.5, 0.0, 1.5]) - 2.0 + rng.normal(0, 0.01, 50)
-        model = fit_nnls(X, t, with_intercept=True)
-        assert (model.coefficients >= 0).all()
-        assert model.intercept == pytest.approx(-2.0, abs=0.05)
-        # KKT on the centered problem
-        Xc = X - X.mean(axis=0)
-        gradient = Xc.T @ (Xc @ model.coefficients - (t - t.mean()))
-        active = model.coefficients == 0.0
-        assert np.abs(gradient[~active]).max(initial=0.0) <= 1e-8
-        assert gradient[active].min(initial=0.0) >= -1e-8
-
-
 class TestRSquared:
     def test_perfect_predictions(self):
         X = np.arange(1.0, 6.0)[:, None]
@@ -437,6 +339,19 @@ class TestSerialization:
         assert doc["norms_checksum"] == "sha256:abc"
         assert doc["name"] == "demo"
 
+    def test_constrained_round_trip(self, tmp_path):
+        # A model fitted elsewhere under the non-negativity constraint keeps
+        # its flag, and so its weak-order guarantee, through a file.
+        model = LinearModel(("Pong", "Breakout"), np.array([0.0, 0.75]),
+                            intercept=0.5, constrained_nonnegative=True)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        loaded, doc = load_model(path)
+        assert doc["constrained_nonnegative"] is True
+        assert loaded.constrained_nonnegative
+        assert np.array_equal(loaded.coefficients, model.coefficients)
+        assert loaded.intercept == model.intercept
+
     def test_full_precision(self):
         model = LinearModel(("x",), np.array([1 / 3]))
         doc = json.loads(json.dumps(model_to_dict(model)))
@@ -449,8 +364,11 @@ class TestSerialization:
         ("[1, 2]", SchemaError),
         ('{"format": "benchsel-model/1", "environment_ids": ["x"], '
          '"coefficients": "1.0"}', SchemaError),
+        ('{"format": "benchsel-model/1", "environment_ids": ["x"], '
+         '"coefficients": [-1.0], "constrained_nonnegative": true}',
+         ValidationError),
     ], ids=["wrong-tag", "missing-keys", "not-json", "not-an-object",
-            "mistyped-key"])
+            "mistyped-key", "constrained-negative"])
     def test_rejects_wrong_format(self, tmp_path, text, error):
         path = tmp_path / "bad_model.json"
         path.write_text(text)

@@ -1,8 +1,9 @@
 """The benchmark's tracer and the demo scripts keep working, the CLI
-starts without loading numpy.ma, no command loads scipy, a search imports
-no module, name matching stays in the data module and the fold layout in
-linreg, no environment variable is read, score tables load without holding
-the file, and CV blocks reuse freed memory.
+starts without loading numpy.ma, no command loads scipy, no module imports
+it and an install needs numpy alone, a search imports no module, name
+matching stays in the data module and the fold layout in linreg, no
+environment variable is read, score tables load without holding the file,
+and CV blocks reuse freed memory.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
@@ -218,6 +219,17 @@ def test_files_written_only_in_formats_module():
                         r"|\bopen\([^)]*['\"][rb]*[wax+]")
     users = sorted(p for p, text in _sources().items() if writes.search(text))
     assert users == ["benchsel/formats.py"]
+
+
+def test_runtime_needs_numpy_alone():
+    # SciPy is a test-only reference: no module imports it and an install
+    # pulls numpy alone.
+    tomllib = pytest.importorskip("tomllib")
+    imports = re.compile(r"^\s*(?:import|from)\s+scipy\b", re.MULTILINE)
+    users = sorted(p for p, text in _sources().items() if imports.search(text))
+    assert users == []
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
 
 
 def test_terminal_output_only_in_cli_module():
