@@ -226,7 +226,7 @@ def cmd_search(args) -> dict:
 # pipeline
 
 def cmd_pipeline(args) -> dict:
-    SearchConfig(subset_size=1, folds=args.folds)  # --folds, before the load
+    SearchConfig(subset_size=1, folds=args.folds, seed=args.seed)  # pre-load
     dataset = _load_dataset(args)
     checksums = _checksums(args)
     suite = nested_pipeline(dataset, folds=args.folds, seed=args.seed,

@@ -25,12 +25,14 @@ search can fit). Both give bit-identical results. Either way the systems
 reach the solver stack last, (C, C + 1, candidates, folds), in an array
 of their own that it eliminates in place.
 
-This module alone owns the fold layout. A table's n usable rows are dealt
-into folds by ``fold_assignment(n, folds, seed)``, so which ranks each
-fold holds out depends only on n; ``_fold_layout`` caches that per n, and
-fold sizes follow from n in closed form (``_fold_sizes``). Callers pass
-masks and never see ranks, held-out slots, padding or fold sizes; a
-store sizes its slots by ``_table_shape``.
+This module alone owns the design and fold layouts. ``_as_design`` checks
+every fit before it is solved, and ``_augmented`` lays out [X | 1 | t] for
+fits and searches alike. A table's n usable rows are dealt into folds by
+``fold_assignment(n, folds, seed)``, so which ranks each fold holds out
+depends only on n; ``_fold_layout`` caches that per n, and fold sizes
+follow from n in closed form (``_fold_sizes``). Callers pass masks and
+never see ranks, held-out slots, padding or fold sizes; a store sizes its
+slots by ``_table_shape``.
 """
 
 from __future__ import annotations
@@ -134,15 +136,14 @@ def _chol_solve_batched(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.moveaxis(x, 0, -1), bad
 
 
-def _column_name(j: int, n_envs: int, environment_ids) -> str:
-    if j >= n_envs:
-        return "intercept"
-    if environment_ids is not None:
-        return str(environment_ids[j])
-    return f"column {j}"
+def _augmented(X, t, with_intercept: bool) -> np.ndarray:
+    """[X | 1 | t]: the ones column only if an intercept is fitted."""
+    return np.column_stack([X, np.ones((len(X), int(with_intercept))), t])
 
 
-def _as_design(X, t, with_intercept: bool):
+def _as_design(X, t, with_intercept: bool, environment_ids=None):
+    """Check a least-squares problem before it is solved; return its
+    ``_augmented`` design and its fitted columns' names (see ``fit_ols``)."""
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if X.ndim != 2:
@@ -152,21 +153,24 @@ def _as_design(X, t, with_intercept: bool):
         raise ValidationError("design matrix needs at least one column")
     if t.shape != (rows,):
         raise ValidationError(f"target has {t.shape} entries for {rows} rows")
+    if environment_ids is None:
+        environment_ids = [f"x{j}" for j in range(cols)]
+    names = tuple(map(str, environment_ids))
+    if len(names) != cols:
+        raise ValidationError(f"{len(names)} environment_ids for {cols} columns")
     if cols > MAX_COLUMNS:
         raise ValidationError(f"at most {MAX_COLUMNS} columns supported, got {cols}")
     if rows <= cols + int(with_intercept):
         raise ValidationError(
             f"need more rows ({rows}) than fitted parameters "
             f"({cols + int(with_intercept)})")
-    return X, t
+    return _augmented(X, t, with_intercept), names + ("intercept",) * with_intercept
 
 
 def _r2(predictions: np.ndarray, t: np.ndarray) -> float:
     ss_res = float(((t - predictions) ** 2).sum())
     ss_tot = float(((t - t.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        return 0.0
-    return 1.0 - ss_res / ss_tot
+    return 1.0 - ss_res / ss_tot if ss_tot else 0.0
 
 
 def fit_ols(X, t, with_intercept: bool = False,
@@ -176,36 +180,27 @@ def fit_ols(X, t, with_intercept: bool = False,
     ``with_intercept=False`` forces the constant term to 0 (a zero input
     vector then predicts 0). The reported r_squared is in-sample and always
     taken about the mean of ``t``, whatever the intercept mode, so values
-    stay comparable across modes.
+    stay comparable across modes. Columns are named by ``environment_ids``
+    (x0, x1, ... if None) and "intercept", in the model and in errors.
     """
-    X, t = _as_design(X, t, with_intercept)
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))]) if with_intercept else X
-    beta, bad = _chol_solve_batched(Xa.T @ np.column_stack([Xa, t]))
+    A, names = _as_design(X, t, with_intercept, environment_ids)
+    n = len(names) - int(with_intercept)
+    beta, bad = _chol_solve_batched(np.ascontiguousarray(A[:, :-1]).T @ A)
     if bad != -1:
-        raise SingularMatrixError(
-            _column_name(int(bad), X.shape[1], environment_ids))
-    coef, intercept = beta, None
-    if with_intercept:
-        coef, intercept = beta[:-1], float(beta[-1])
-    if environment_ids is None:
-        environment_ids = [f"x{j}" for j in range(X.shape[1])]
-    ids = tuple(str(e) for e in environment_ids)
-    if len(ids) != X.shape[1]:
-        raise ValidationError("environment_ids length mismatch with design")
-    predictions = X @ coef + (intercept or 0.0)
-    return LinearModel(ids, coef, intercept, FitStats(
-        r_squared=_r2(predictions, t),
-        log_mae=float(np.abs(t - predictions).mean())))
+        raise SingularMatrixError(names[bad])
+    coef, intercept = beta[:n], float(beta[-1]) if with_intercept else None
+    predictions = A[:, :n] @ coef + (intercept or 0.0)
+    return LinearModel(names[:n], coef, intercept, FitStats(
+        r_squared=_r2(predictions, A[:, -1]),
+        log_mae=float(np.abs(A[:, -1] - predictions).mean())))
 
 
 def r_squared(model: LinearModel, X, t) -> float:
-    """1 - SS_res/SS_tot with SS_tot about mean(t); 0 when SS_tot is 0."""
-    X = np.asarray(X, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if X.shape != (len(t), model.n_environments):
-        raise ValidationError("design shape inconsistent with model/target")
-    predictions = X @ model.coefficients + (model.intercept or 0.0)
-    return _r2(predictions, t)
+    """1 - SS_res/SS_tot with SS_tot about mean(t); 0 when SS_tot is 0.
+    ``X`` and ``t`` must form a design ``fit_ols`` could fit the model to."""
+    A, _ = _as_design(X, t, model.intercept is not None, model.environment_ids)
+    predictions = A[:, :model.n_environments] @ model.coefficients
+    return _r2(predictions + (model.intercept or 0.0), A[:, -1])
 
 
 def _fold_sizes(rows, folds: int) -> np.ndarray:
@@ -388,26 +383,23 @@ def cross_validated_mse(X, t, folds: int, seed: int,
     A pure function of (X, t, folds, seed, with_intercept): the same seed
     gives a bit-identical result. It scores one table with the kernel
     that scores subset searches, so a search reports the same value, to
-    the bit, for a candidate with these usable rows. Raises
-    SingularMatrixError, naming the first rank-deficient column of the
-    first such fold, if any training fold is rank-deficient.
+    the bit, for a candidate with these usable rows. A rank-deficient
+    training fold raises SingularMatrixError, naming the first such fold's
+    first rank-deficient column as ``fit_ols`` would.
     """
-    X, t = _as_design(X, t, with_intercept)
+    A, names = _as_design(X, t, with_intercept, environment_ids)
     if folds < 2:
         raise ValidationError("folds must be >= 2")
-    rows, n_envs = X.shape
-    if rows < folds:
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+    if len(A) < folds:
         raise ValidationError(f"need at least {folds} rows for {folds}-fold CV")
-    design = np.ones((rows, n_envs + int(with_intercept) + 1))
-    design[:, :n_envs] = X
-    design[:, -1] = t
     cv, bad = _cv_mse_tabled(*_fold_tables(
-        design, np.ones((1, rows), dtype=bool), np.arange(design.shape[1]),
-        folds, seed))
+        A, np.ones((1, len(A)), dtype=bool), np.arange(A.shape[1]), folds,
+        seed))
     bad_folds = np.flatnonzero(bad[0] != -1)
     if len(bad_folds):
-        raise SingularMatrixError(_column_name(
-            int(bad[0, bad_folds[0]]), n_envs, environment_ids))
+        raise SingularMatrixError(names[bad[0, bad_folds[0]]])
     return float(cv[0])
 
 

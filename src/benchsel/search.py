@@ -52,6 +52,7 @@ from .linreg import (
     MAX_COLUMNS,
     FitStats,
     LinearModel,
+    _augmented,
     _cv_mse_tabled,
     _fold_tables,
     _table_shape,
@@ -88,6 +89,8 @@ class SearchConfig:
             raise ValidationError("subset_size must be >= 1")
         if self.folds < 2:
             raise ValidationError("folds must be >= 2")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.top_k < 1:
             raise ValidationError("top_k must be >= 1")
         if self.fitted_columns > MAX_COLUMNS:
@@ -219,8 +222,7 @@ class _SearchContext:
 
     # Every column index below is a column of X. Its first n columns are
     # the search's games, forced and pool, in dataset order.
-    X: np.ndarray          # (m, n + 1 or n + 2) log scores, NaN->0, then
-                           # the ones column if fitted, then the target
+    X: np.ndarray          # (m, ·) [games, NaN->0 | 1 | target], _augmented
     avail: np.ndarray      # (m, n) bool, the games' ``present``
     packed: np.ndarray     # (n, ceil(m / 64)) uint64, bit i: row i
     env_names: tuple[str, ...]  # (n,) the games' names
@@ -442,9 +444,8 @@ def _build_context(dataset: PreparedDataset, config: SearchConfig
         raise ValidationError("search space too large to enumerate exhaustively")
 
     m = dataset.n_algorithms
-    X = np.column_stack([np.nan_to_num(dataset.log_scores[:, games], nan=0.0),
-                         np.ones((m, int(config.with_intercept))),
-                         dataset.targets])
+    X = _augmented(np.nan_to_num(dataset.log_scores[:, games], nan=0.0),
+                   dataset.targets, config.with_intercept)
     avail = dataset.present[:, games]
     packed = np.packbits(np.pad(avail, ((0, -m % 64), (0, 0))),
                          axis=0, bitorder="little")
@@ -500,11 +501,23 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
     _retain_freed_memory()
     ctx = _build_context(dataset, config)
     total = math.comb(len(ctx.pool), ctx.k_free)
+    scored = skipped_rows = skipped_singular = 0
+
+    def empty_search(message):
+        return EmptySearchError(message, skip_stats={
+            "total_candidates": total,
+            "skipped_insufficient_rows": skipped_rows,
+            "skipped_singular": skipped_singular})
+
+    if ctx.min_rows > dataset.n_algorithms:  # no candidate has the rows
+        skipped_rows = total
+        raise empty_search(
+            f"no viable size-{config.subset_size} candidate: {config.folds}-"
+            f"fold CV of {config.fitted_columns} columns needs {ctx.min_rows} "
+            f"usable algorithms, and the table has {dataset.n_algorithms}")
     block = _block_size(ctx)
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
     workers = min(resolve_workers(threads), len(spans))
-
-    scored = skipped_rows = skipped_singular = 0
     finalists = (np.empty(0), np.empty((0, config.subset_size), np.int64),
                  np.empty(0, np.int64))
     next_milestone = PROGRESS_STRIDE
@@ -522,12 +535,6 @@ def enumerate_and_score(dataset: PreparedDataset, config: SearchConfig, *,
             while progress and stop >= next_milestone:
                 progress(next_milestone, total)
                 next_milestone += PROGRESS_STRIDE
-
-    def empty_search(message):
-        return EmptySearchError(message, skip_stats={
-            "total_candidates": total,
-            "skipped_insufficient_rows": skipped_rows,
-            "skipped_singular": skipped_singular})
 
     if not scored:
         raise empty_search(

@@ -389,6 +389,7 @@ class TestSearchCommand:
          "16-column solver limit"),
         (["--size", "16", "--intercept"], "subset_size 16 plus the "
          "intercept fits 17 columns, over the 16-column solver limit"),
+        (["--size", "2", "--seed", "-1"], "seed must be >= 0"),
     ])
     def test_out_of_range_search_flags_exit_one_with_one_line(
             self, toy_inputs, capsys, flags, message):
@@ -403,6 +404,20 @@ class TestSearchCommand:
             assert rc == 1
             assert capsys.readouterr().err.splitlines() == [
                 f"benchsel: error: {message}"]
+
+    def test_folds_above_the_algorithm_count_exit_one_with_one_line(
+            self, toy_inputs, capsys):
+        scores, norms, tmp = toy_inputs
+        folds = 10 ** 20
+        rc = run(["search", "--scores", scores, "--norms", norms,
+                  "--size", "2", "--folds", folds, "--min-games", "5",
+                  "--min-algos", "5", "--ignore-columns", "truecol",
+                  "--out", tmp / "x"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"benchsel: error: no viable size-2 candidate: {folds}-fold CV "
+            f"of 2 columns needs {folds} usable algorithms, and the table "
+            f"has 20"]
 
     @pytest.mark.parametrize("flags", [[], ["--json"], ["--quiet"]])
     def test_progress_lines_on_stderr(self, toy_inputs, capsys, monkeypatch,
@@ -475,6 +490,13 @@ class TestPipelineCommand:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
             "benchsel: error: folds must be >= 2"]
+
+    def test_bad_seed_reported_before_the_load(self, tmp_path, capsys):
+        rc = run(["pipeline", "--scores", tmp_path / "missing.csv",
+                  "--seed", "-1", "--out", tmp_path / "p"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "benchsel: error: seed must be >= 0"]
 
     def test_full_run_and_determinism(self, tmp_path):
         rng = np.random.default_rng(71)

@@ -288,7 +288,7 @@ class TestCrossValidatedMse:
     def test_rank_deficient_fold_raises(self):
         X = np.zeros((12, 2))
         X[:, 0] = np.arange(12)
-        with pytest.raises(SingularMatrixError, match="column 1"):
+        with pytest.raises(SingularMatrixError, match="'x1'"):
             cross_validated_mse(X, np.arange(12.0), folds=3, seed=0)
 
     def test_preconditions(self):
@@ -297,6 +297,46 @@ class TestCrossValidatedMse:
             cross_validated_mse(X, np.ones(6), folds=1, seed=0)
         with pytest.raises(ValidationError):
             cross_validated_mse(X, np.ones(6), folds=7, seed=0)
+
+    def test_negative_seed_rejected(self):
+        X = np.arange(12.0)[:, None]
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            cross_validated_mse(X, X[:, 0], folds=3, seed=-1)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 10_000), cols=st.integers(1, 6),
+       with_intercept=st.booleans(), singular=st.booleans(), data=st.data())
+def test_designs_are_checked_before_they_are_solved(seed, cols, with_intercept,
+                                                    singular, data):
+    # Singular or not, a design is checked before it is solved: a name list
+    # of the wrong length is a ValidationError, never an IndexError, and an
+    # unnamed rank-deficient column is named as the model would name it.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(30, cols))
+    singular = singular and cols > 1
+    if singular:
+        X[:, -1] = X[:, 0]
+    t = rng.normal(size=30)
+    n_ids = data.draw(st.integers(0, cols + 3).filter(lambda n: n != cols))
+    ids = tuple(f"g{j}" for j in range(n_ids))
+    with pytest.raises(ValidationError, match="environment_ids"):
+        fit_ols(X, t, with_intercept, environment_ids=ids)
+    with pytest.raises(ValidationError, match="environment_ids"):
+        cross_validated_mse(X, t, 5, seed, with_intercept, environment_ids=ids)
+    if singular:
+        with pytest.raises(SingularMatrixError) as fit_err:
+            fit_ols(X, t, with_intercept)
+        with pytest.raises(SingularMatrixError) as cv_err:
+            cross_validated_mse(X, t, 5, seed, with_intercept)
+        assert fit_err.value.column == cv_err.value.column == f"x{cols - 1}"
+    # r_squared takes one target value per row, as a fit does.
+    model = LinearModel(tuple(f"x{j}" for j in range(cols)), np.ones(cols),
+                        0.5 if with_intercept else None)
+    bad_t = data.draw(st.sampled_from(
+        [t[:, None], t[:-1], np.append(t, 0.0), np.stack([t, t])]))
+    with pytest.raises(ValidationError):
+        r_squared(model, X, bad_t)
 
 
 class TestPredictLinear:

@@ -1,15 +1,16 @@
 """The benchmark's tracer and the demo scripts keep working, the CLI
 starts without loading numpy.ma, no command loads scipy, no module imports
 it and an install needs numpy alone, a search imports no module, name
-matching stays in the data module and the fold layout in linreg, no
-environment variable is read, score tables load without holding the file,
-and CV blocks reuse freed memory.
+matching stays in the data module and the fold and design layouts in
+linreg, no environment variable is read, score tables load without holding
+the file, and CV blocks reuse freed memory.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
 calling through those names silently empties its per-layer timings.
 """
 
+import inspect
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchsel import fixtures
+from benchsel import fixtures, search
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = str(fixtures.demo_scores_path())
@@ -245,6 +246,15 @@ def test_fold_layout_only_in_linreg_module():
         r"\b(fold_assignment|_fold_layout|_fold_sizes|_held_out_rows)\b")
     users = sorted(p for p, text in _sources().items() if layout.search(text))
     assert users == ["benchsel/linreg.py"]
+
+
+def test_design_layout_only_in_linreg_module():
+    # [X | 1 | t] is laid out in one place, linreg._augmented, which every
+    # least-squares call and the search's column space go through.
+    users = sorted(p for p, text in _sources().items()
+                   if re.search(r"\bnp\.column_stack\b", text))
+    assert users == ["benchsel/linreg.py"]
+    assert "_augmented(" in inspect.getsource(search._build_context)
 
 
 def test_no_environment_variable_read():
