@@ -5,6 +5,11 @@ worker count. Exit codes: 0 on success, 1 for data or runtime errors, 2
 for usage errors. Output files that must be byte-reproducible embed the
 input checksum chain and reference the run manifest (which holds the
 volatile details like wall time and the workers used) by file name.
+
+A ``cmd_*`` function writes and prints nothing. It returns its files
+(names under ``--out`` mapped to text), its ``--json`` document and text
+lines, and its manifest entries. ``_run`` alone writes them, the manifest
+last, then prints, so a command that fails has written nothing.
 """
 
 from __future__ import annotations
@@ -35,20 +40,20 @@ from .data import (
 )
 from .errors import BenchselError
 from .formats import (
+    MANIFEST_FORMAT,
     MANIFEST_NAME,
-    RunManifest,
     checksum_chain,
+    csv_text,
     dumps,
     fairness_to_dict,
+    json_text,
     load_model,
     model_to_dict,
     predictions_to_dict,
     provenance,
     sha256_file,
     suite_to_dict,
-    write_csv,
-    write_json,
-    write_text,
+    write_files,
 )
 from .predict import (
     approx_relative_error_from_log_mae,
@@ -137,10 +142,10 @@ def _checksums(args, model_path=None) -> dict[str, str]:
     return checksums
 
 
-def _emit(args, doc, lines, sort_keys=True) -> None:
+def _emit(args, doc, lines) -> None:
     """Print ``doc`` as JSON under --json, else ``lines`` unless --quiet."""
-    if args.json:
-        print(dumps(doc, sort_keys=sort_keys))
+    if args.json:  # a list of records keeps each record's field order
+        print(dumps(doc, sort_keys=not isinstance(doc, list)))
     elif not args.quiet:
         for line in lines:
             print(line)
@@ -171,7 +176,7 @@ def _model_summary_row(name, subset, model):
 # ---------------------------------------------------------------------------
 # search
 
-def cmd_search(args) -> dict:
+def cmd_search(args) -> tuple:
     config = SearchConfig(  # a bad flag fails here, before the load
         subset_size=args.size,
         must_include=_split_csv_flag(",".join(args.include)),
@@ -186,8 +191,9 @@ def cmd_search(args) -> dict:
     result = enumerate_and_score(dataset, config, threads=args.threads,
                                  progress=_progress_for(args))
 
-    ranked_path = os.path.join(args.out, "ranked.csv")
-    write_csv(ranked_path, [
+    best = result.best
+    name = f"best-of-size-{args.size}"
+    files = {"ranked.csv": csv_text([
         "benchsel search ranking",
         f"inputs: {checksum_chain(checksums)}",
         f"config: size={args.size} folds={args.folds} seed={args.seed} "
@@ -200,32 +206,29 @@ def cmd_search(args) -> dict:
     ], ["rank", "cv_mse", "r_squared", "n_algorithms", "environments"], [
         (rank, cand.cv_mse, cand.model.stats.r_squared,
          cand.n_algorithms_used, " | ".join(cand.subset))
-        for rank, cand in enumerate(result.ranked, start=1)])
-
-    best = result.best
-    name = f"best-of-size-{args.size}"
-    write_json(os.path.join(args.out, "best_model.json"), model_to_dict(
-        best.model, name=name, norms_checksum=checksums["norms"],
-        extra={**provenance(checksums), "target_stat": args.target,
-               "seed": args.seed, "folds": args.folds,
-               "n_algorithms_used": best.n_algorithms_used}))
+        for rank, cand in enumerate(result.ranked, start=1)]),
+        "best_model.json": json_text(model_to_dict(
+            best.model, name=name, norms_checksum=checksums["norms"],
+            extra={**provenance(checksums), "target_stat": args.target,
+                   "seed": args.seed, "folds": args.folds,
+                   "n_algorithms_used": best.n_algorithms_used}))}
 
     summary = _model_summary_row(name, best.subset, best.model)
     summary["skip_stats"] = result.skip_stats
-    _emit(args, summary, [
+    return files, (summary, [
         f"best size-{args.size} subset: {', '.join(best.subset)}",
         f"  cv_mse={best.cv_mse:.6g}  "
         f"r_squared={best.model.stats.r_squared:.4f}  "
         f"algorithms={best.n_algorithms_used}",
-        f"wrote {ranked_path}"])
-    return {"input_checksums": checksums, "seed": args.seed,
-            "workers": result.workers, "notes": result.skip_stats}
+        f"wrote {os.path.join(args.out, 'ranked.csv')}"]), {
+        "input_checksums": checksums, "seed": args.seed,
+        "workers": result.workers, "notes": result.skip_stats}
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 
-def cmd_pipeline(args) -> dict:
+def cmd_pipeline(args) -> tuple:
     SearchConfig(subset_size=1, folds=args.folds, seed=args.seed)  # pre-load
     dataset = _load_dataset(args)
     checksums = _checksums(args)
@@ -239,18 +242,15 @@ def cmd_pipeline(args) -> dict:
 
     # The per-model and per-bank files repeat the suite's entries.
     suite_doc = suite_to_dict(suite, norms_checksum=checksums["norms"])
-    os.makedirs(os.path.join(args.out, "models"), exist_ok=True)
-    os.makedirs(os.path.join(args.out, "banks"), exist_ok=True)
-    write_json(os.path.join(args.out, "suite.json"), {
-        **suite_doc, **provenance(checksums),
-        "variance_explained": explained})
+    files = {"suite.json": json_text({**suite_doc, **provenance(checksums),
+                                      "variance_explained": explained})}
     for name, entry in suite_doc["models"].items():
-        write_json(os.path.join(args.out, "models", f"{name}.json"), {
+        files[f"models/{name}.json"] = json_text({
             **entry["model"], **provenance(checksums),
             "cv_mse": entry["cv_mse"]})
     for name, bank_doc in suite_doc["banks"].items():
-        write_json(os.path.join(args.out, "banks", f"{name}.json"),
-                   {**bank_doc, **provenance(checksums)})
+        files[f"banks/{name}.json"] = json_text(
+            {**bank_doc, **provenance(checksums)})
 
     rows = [_model_summary_row(name, suite.subset(name),
                                suite.models[name].model)
@@ -272,16 +272,16 @@ def cmd_pipeline(args) -> dict:
     for name in ("size-5", "size-10"):
         lines.append(f"variance explained ({name} bank): "
                      f"{explained[name]:.1%}")
-    write_text(os.path.join(args.out, "summary.txt"), "\n".join(lines) + "\n")
-    write_csv(os.path.join(args.out, "summary.csv"), (),
-              ["name", "games", "r_squared", "cv_mse", "approx_rel_err"],
-              [(r["name"], " | ".join(r["games"]), r["r_squared"],
-                r["cv_mse"], r["approx_rel_err"]) for r in rows])
+    files["summary.txt"] = "\n".join(lines) + "\n"
+    files["summary.csv"] = csv_text(
+        (), ["name", "games", "r_squared", "cv_mse", "approx_rel_err"],
+        [(r["name"], " | ".join(r["games"]), r["r_squared"], r["cv_mse"],
+          r["approx_rel_err"]) for r in rows])
 
-    _emit(args, {"models": rows, "variance_explained": explained}, lines)
-    return {"input_checksums": checksums, "seed": args.seed,
-            "workers": suite.workers,
-            "notes": {"skip_stats": suite.skip_stats}}
+    summary = {"models": rows, "variance_explained": explained}
+    return files, (summary, lines), {
+        "input_checksums": checksums, "seed": args.seed,
+        "workers": suite.workers, "notes": {"skip_stats": suite.skip_stats}}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def _report_row(r):
             r.relative_error, r.abs_relative_error)
 
 
-def cmd_predict(args) -> dict:
+def cmd_predict(args) -> tuple:
     model, model_doc, norms, table, values, checksums = _load_model_inputs(
         args)
     truths = values.get(args.true_summary, {}) if args.true_summary else {}
@@ -333,8 +333,8 @@ def cmd_predict(args) -> dict:
         reports.append(make_report(algorithm, value, inputs_used=inputs,
                                    true_summary=truths.get(algorithm)))
     preamble = [f"inputs: {checksum_chain(checksums)}", MANIFEST_LINE]
-    write_csv(os.path.join(args.out, "predictions.csv"), preamble,
-              REPORT_HEADER, map(_report_row, reports))
+    files = {"predictions.csv": csv_text(preamble, REPORT_HEADER,
+                                         map(_report_row, reports))}
 
     inversions = None
     scored = [r for r in reports if r.true_summary is not None]
@@ -348,14 +348,14 @@ def cmd_predict(args) -> dict:
     rebased = None
     if args.baseline:
         rebased = rebase_scores(reports, args.baseline)
-        write_csv(os.path.join(args.out, "rebased.csv"), preamble,
-                  REPORT_HEADER, map(_report_row, rebased))
+        files["rebased.csv"] = csv_text(preamble, REPORT_HEADER,
+                                        map(_report_row, rebased))
 
     detail = predictions_to_dict(
         reports, model_name=model_doc.get("name"), checksums=checksums,
         inversions=inversions, baseline=args.baseline,
         row_errors=row_errors, rebased=rebased)
-    write_json(os.path.join(args.out, "predictions.json"), detail)
+    files["predictions.json"] = json_text(detail)
 
     lines = []
     for r in reports:
@@ -370,61 +370,59 @@ def cmd_predict(args) -> dict:
         lines.append(f"{algorithm}: skipped ({message})")
     if inversions is not None:
         lines.append(f"ranking inversions vs truth: {inversions}")
-    _emit(args, detail, lines)
-    return {"input_checksums": checksums,
-            "notes": {"rows": len(reports), "row_errors": len(row_errors)}}
+    return files, (detail, lines), {
+        "input_checksums": checksums,
+        "notes": {"rows": len(reports), "row_errors": len(row_errors)}}
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
-def cmd_analyze_rank_single(args) -> dict:
+def cmd_analyze_rank_single(args) -> tuple:
     dataset = _load_dataset(args)
     checksums = _checksums(args)
     ranking = rank_single_games(dataset)
-    path = os.path.join(args.out, "single_games.csv")
-    write_csv(path, [f"inputs: {checksum_chain(checksums)}", MANIFEST_LINE,
-                     "least predictive first"],
-              ["environment", "slope", "intercept", "r_squared",
-               "n_algorithms"],
-              [(f.environment, f.slope, f.intercept, f.r_squared,
-                f.n_algorithms) for f in ranking.ranked])
+    files = {"single_games.csv": csv_text(
+        [f"inputs: {checksum_chain(checksums)}", MANIFEST_LINE,
+         "least predictive first"],
+        ["environment", "slope", "intercept", "r_squared", "n_algorithms"],
+        [(f.environment, f.slope, f.intercept, f.r_squared, f.n_algorithms)
+         for f in ranking.ranked])}
     lines = []
     if ranking.ranked:
         best = ranking.ranked[-1]
         lines.append(f"most predictive single game: {best.environment} "
                      f"(r_squared={best.r_squared:.3f})")
-    lines.append(f"wrote {path}")
-    _emit(args, [f.__dict__ for f in ranking.ranked], lines, sort_keys=False)
-    return {"input_checksums": checksums,
-            "notes": {"flagged": ranking.flagged}}
+    lines.append(f"wrote {os.path.join(args.out, 'single_games.csv')}")
+    return files, ([f.__dict__ for f in ranking.ranked], lines), {
+        "input_checksums": checksums, "notes": {"flagged": ranking.flagged}}
 
 
-def cmd_analyze_correlate(args) -> dict:
+def cmd_analyze_correlate(args) -> tuple:
     dataset = _load_dataset(args)
     categories = load_categories(args.categories) if args.categories else None
     checksums = _checksums(args)
     graph = pearson_matrix(dataset)
     pairs = correlated_pairs(graph, threshold=args.threshold, top_n=args.top)
-    path = os.path.join(args.out, "pairs.csv")
-    write_csv(path, [f"inputs: {checksum_chain(checksums)}",
-                     f"threshold: {args.threshold}", MANIFEST_LINE],
-              ["env_a", "env_b", "pcc", "n_algorithms", "highly_correlated"],
-              [(p.env_a, p.env_b, p.pcc, p.n_pairs, p.highly_correlated)
-               for p in pairs])
-    if args.dot:
-        write_text(args.dot, export_dot(pairs, categories))
+    files = {"pairs.csv": csv_text(
+        [f"inputs: {checksum_chain(checksums)}",
+         f"threshold: {args.threshold}", MANIFEST_LINE],
+        ["env_a", "env_b", "pcc", "n_algorithms", "highly_correlated"],
+        [(p.env_a, p.env_b, p.pcc, p.n_pairs, p.highly_correlated)
+         for p in pairs])}
+    if args.dot:  # an absolute name is written where it points
+        files[os.path.abspath(args.dot)] = export_dot(pairs, categories)
     lines = []
     if pairs:
         top = pairs[0]
         lines.append(f"most correlated pair: {top.env_a} / {top.env_b} "
                      f"(pcc={top.pcc:.3f})")
-    lines.append(f"wrote {path}")
-    _emit(args, [p.__dict__ for p in pairs], lines, sort_keys=False)
-    return {"input_checksums": checksums}
+    lines.append(f"wrote {os.path.join(args.out, 'pairs.csv')}")
+    return files, ([p.__dict__ for p in pairs], lines), {
+        "input_checksums": checksums}
 
 
-def cmd_analyze_fairness(args) -> dict:
+def cmd_analyze_fairness(args) -> tuple:
     model, _, norms, table, values, checksums = _load_model_inputs(
         args, _split_csv_flag(args.ignore_columns))
 
@@ -444,7 +442,6 @@ def cmd_analyze_fairness(args) -> dict:
                and not isinstance(value, BenchselError)]
     report = fairness_report(reports, alpha=args.alpha)
     doc = fairness_to_dict(report, checksums)
-    write_json(os.path.join(args.out, "fairness.json"), doc)
     lines = []
     for name in ("low", "mid", "high"):
         g = report.groups[name]
@@ -454,8 +451,8 @@ def cmd_analyze_fairness(args) -> dict:
     verdict = ("differences detected" if report.any_significant
                else "no significant differences")
     lines.append(f"{verdict} at p={report.alpha}")
-    _emit(args, doc, lines)
-    return {"input_checksums": checksums}
+    return {"fairness.json": json_text(doc)}, (doc, lines), {
+        "input_checksums": checksums}
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +547,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fresh = not os.path.exists(args.out)
+    made, path = [], os.path.abspath(args.out)
+    while not os.path.exists(path):  # --out and its missing ancestors
+        made.append(path)
+        path = os.path.dirname(path)
     status = _run(args)
-    if status and fresh:  # a failed run takes back the --out it made
-        with contextlib.suppress(OSError):
-            os.rmdir(args.out)  # refused unless the directory is empty
+    if status:  # a failed run takes back the directories it made
+        for path in made:  # deepest first
+            with contextlib.suppress(OSError):
+                os.rmdir(path)  # refused unless the directory is empty
     return status
 
 
@@ -564,15 +565,15 @@ def _run(args) -> int:
     try:
         started = time.time()
         os.makedirs(args.out, exist_ok=True)
-        run = args.func(args)  # input checksums, seed, workers, notes
-        RunManifest(
-            command=command,
-            config={k: v for k, v in sorted(vars(args).items())
-                    if k != "func"},
-            tool_version=__version__,
-            wall_time_s=round(time.time() - started, 3),
-            **run,
-        ).save(os.path.join(args.out, MANIFEST_NAME))
+        files, (doc, lines), run = args.func(args)
+        write_files(args.out, files)
+        write_files(args.out, {MANIFEST_NAME: json_text({
+            "format": MANIFEST_FORMAT, "command": command,
+            "config": {k: v for k, v in vars(args).items() if k != "func"},
+            "tool_version": __version__, "seed": None, "workers": None,
+            "notes": {}, **run,  # input checksums, seed, workers, notes
+            "wall_time_s": round(time.time() - started, 3)})})
+        _emit(args, doc, lines)
         return 0
     except (BenchselError, OSError) as exc:
         print(f"benchsel: error: {exc}", file=sys.stderr)

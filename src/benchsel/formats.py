@@ -5,6 +5,8 @@ sorted keys and a trailing newline, numbers at full precision. CSV outputs
 open with ``#`` comment lines and render floats with ``repr``. Files that
 must be byte-reproducible embed the input checksum chain and name the run
 manifest, which holds the volatile details (wall time, worker count).
+``json_text`` and ``csv_text`` render a file's text; ``write_files`` writes
+a run's files, creating every directory before it writes any file.
 
 Readers validate what they load: a file that is not JSON, or a model or
 bank document with a missing or mistyped key, raises :class:`SchemaError`
@@ -15,9 +17,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,13 +46,24 @@ def dumps(doc, *, sort_keys: bool = True) -> str:
     return json.dumps(doc, indent=2, sort_keys=sort_keys)
 
 
-def write_json(path, doc) -> None:
-    write_text(path, dumps(doc) + "\n")
+def json_text(doc) -> str:
+    return dumps(doc) + "\n"
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``text`` untranslated (csv rows end in ``\\r\\n``)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_files(out, files: Mapping[str, str]) -> None:
+    """Write each named text under ``out`` (an absolute name stays where it
+    points), after creating every directory they need."""
+    paths = {os.path.join(out, name): text for name, text in files.items()}
+    for path in paths:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+    for path, text in paths.items():
+        write_text(path, text)
 
 
 def _format_cell(value) -> str:
@@ -60,13 +75,14 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, preamble, header, rows) -> None:
-    """Write ``# <line>`` for each preamble line, then the header and rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(f"# {line}\n" for line in preamble)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_format_cell(v) for v in row] for row in rows)
+def csv_text(preamble, header, rows) -> str:
+    """``# <line>`` for each preamble line, then the header and rows."""
+    buf = io.StringIO()
+    buf.writelines(f"# {line}\n" for line in preamble)
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_format_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +106,6 @@ def provenance(checksums: dict[str, str]) -> dict:
     """The entries that tie a deterministic JSON output to its inputs and
     its run manifest."""
     return {"input_checksums": checksums, "manifest": MANIFEST_NAME}
-
-
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    input_checksums: dict[str, str]
-    seed: int | None = None
-    tool_version: str = ""
-    wall_time_s: float | None = None
-    workers: int | None = None
-    notes: dict = field(default_factory=dict)
-
-    def save(self, path) -> None:
-        write_json(path, {"format": MANIFEST_FORMAT, **asdict(self)})
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +268,8 @@ def load_bank(path) -> tuple[ModelBank, dict]:
 def save_model(path, model: LinearModel, *, name: str | None = None,
                norms_checksum: str | None = None,
                extra: dict | None = None) -> None:
-    write_json(path, model_to_dict(model, name=name,
-                                   norms_checksum=norms_checksum, extra=extra))
+    write_text(path, json_text(model_to_dict(
+        model, name=name, norms_checksum=norms_checksum, extra=extra)))
 
 
 # ---------------------------------------------------------------------------

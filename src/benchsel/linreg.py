@@ -408,18 +408,18 @@ def predict_linear(model: LinearModel, x) -> float:
 
     ``x`` is either a mapping from environment name (matched
     case/punctuation-insensitively) to log score, or a sequence already
-    aligned with ``model.environment_ids``.
+    aligned with ``model.environment_ids``; a NaN is a missing score.
     """
     if isinstance(x, Mapping):
         x = EnvironmentIndex(map(str, x)).take(
             [list(x.values())], model.environment_ids)[0]
-        gap = np.flatnonzero(np.isnan(x))
-        if len(gap):
-            env = model.environment_ids[gap[0]]
-            raise EnvironmentLookupError(
-                env, f"missing log score for environment {env!r}")
     vec = np.asarray(x, dtype=np.float64)
     if vec.shape != (model.n_environments,):
         raise ValidationError(
             f"expected {model.n_environments} log scores, got {vec.shape}")
+    gap = np.flatnonzero(np.isnan(vec))
+    if len(gap):
+        env = model.environment_ids[gap[0]]
+        raise EnvironmentLookupError(
+            env, f"missing log score for environment {env!r}")
     return float((model.intercept or 0.0) + model.coefficients @ vec)

@@ -87,19 +87,17 @@ def relative_error(true_value: float, predicted: float) -> float:
     return (predicted - true_value) / true_value
 
 
-def approx_relative_error_from_log_mae(mae_log: float,
-                                       log_base: float = 10.0) -> float:
+def approx_relative_error_from_log_mae(mae_log: float) -> float:
     """Expected relative error implied by a mean absolute log residual.
 
-    A residual of d in base-b log space corresponds to a relative error of
-    roughly ln(b) * d when residuals are small, so a model's mean absolute
-    error in log space converts directly to an expected relative error.
+    A residual of d in phi's base-10 log space corresponds to a relative
+    error of roughly ln(10) * d when residuals are small, so a model's mean
+    absolute error in log space converts directly to an expected relative
+    error.
     """
     if mae_log < 0:
         raise ValidationError("mean absolute log error cannot be negative")
-    if log_base <= 1:
-        raise ValidationError("log base must exceed 1")
-    return math.log(log_base) * mae_log
+    return math.log(10.0) * mae_log
 
 
 def inversion_count(order_a, order_b) -> int:

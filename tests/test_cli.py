@@ -75,7 +75,49 @@ def test_failed_run_leaves_no_output_directory(toy_inputs, capsys, command):
     out.mkdir()  # a directory that was there before the run stays
     assert run(argv) == 1
     assert out.is_dir()
-    assert len(capsys.readouterr().err.splitlines()) == 2
+    nested = [*argv[:-1], tmp / "x" / "y" / "z"]
+    assert run(nested) == 1  # every directory the run made goes
+    assert not (tmp / "x").exists()
+    (tmp / "x").mkdir()  # an empty parent that was there stays
+    assert run(nested) == 1
+    assert list((tmp / "x").iterdir()) == []
+    assert len(capsys.readouterr().err.splitlines()) == 4
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.is_file() and p.read_bytes()
+            for p in root.rglob("*")}
+
+
+PREDICT = ["predict", "--model", "atari5", "--scores",
+           fixtures.demo_scores_path()]
+REBASED = [*PREDICT, "--true-summary", "median57", "--baseline"]
+DOT = ["analyze", "correlate", "--scores", fixtures.demo_scores_path(),
+       "--min-games", "10", "--min-algos", "10", "--ignore-columns",
+       "median57", "--dot"]
+
+
+@pytest.mark.parametrize("good, bad, message", [
+    ([*REBASED, "demo-agent-01"], [*REBASED, "nobody"], "'nobody'"),
+    ([*REBASED, "demo-agent-01"], [*PREDICT, "--baseline", "demo-agent-01"],
+     "no true summary"),
+    # --dot's directory is created like --out's, unless a file is in the way
+    ([*DOT, "graphs/g.dot"], [*DOT, "blocker/g.dot"], "blocker"),
+], ids=["unknown-baseline", "baseline-without-truth", "dot-under-a-file"])
+def test_failed_run_writes_nothing(tmp_path, monkeypatch, capsys, good, bad,
+                                   message):
+    monkeypatch.chdir(tmp_path)
+    Path("blocker").write_text("")
+    before = _tree(tmp_path)
+    assert run([*bad, "--out", "fresh/out"]) == 1
+    assert _tree(tmp_path) == before
+    assert run([*good, "--out", "kept", "--quiet"]) == 0
+    before = _tree(tmp_path)
+    assert "kept/manifest.json" in before
+    assert run([*bad, "--out", "kept"]) == 1  # an earlier run's files stay
+    assert _tree(tmp_path) == before
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1] and message in err[0]
 
 
 def _children(pid: int) -> list[str]:

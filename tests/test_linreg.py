@@ -364,6 +364,12 @@ class TestPredictLinear:
         with pytest.raises(EnvironmentLookupError, match="Breakout"):
             predict_linear(model, {"Pong": 1.0})
 
+    def test_nan_is_missing_in_both_forms(self):
+        model = LinearModel(("Pong", "Qbert"), np.array([1.0, 1.0]))
+        for x in ({"Pong": np.nan, "Qbert": 1.0}, [np.nan, 1.0]):
+            with pytest.raises(EnvironmentLookupError, match="'Pong'"):
+                predict_linear(model, x)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

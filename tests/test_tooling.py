@@ -2,14 +2,16 @@
 starts without loading numpy.ma, no command loads scipy, no module imports
 it and an install needs numpy alone, a search imports no module, name
 matching stays in the data module and the fold and design layouts in
-linreg, no environment variable is read, score tables load without holding
-the file, and CV blocks reuse freed memory.
+linreg, only ``cli._run`` writes a command's outputs, no environment
+variable is read, score tables load without holding the file, and CV
+blocks reuse freed memory.
 
 ``bench/traced.py`` wraps module attributes such as ``benchsel.cli.
 predict_summary`` and ``benchsel.cli.sha256_file``; a refactor that stops
 calling through those names silently empties its per-layer timings.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -220,6 +222,32 @@ def test_files_written_only_in_formats_module():
                         r"|\bopen\([^)]*['\"][rb]*[wax+]")
     users = sorted(p for p, text in _sources().items() if writes.search(text))
     assert users == ["benchsel/formats.py"]
+
+
+def test_commands_return_outputs_and_only_run_writes_them():
+    # A cmd_* function returns its files and summary; cli._run alone
+    # creates directories and writes, so a command that raises wrote nothing.
+    tree = ast.parse(_sources()["benchsel/cli.py"])
+    calls = {f.name: {getattr(c.func, "attr", getattr(c.func, "id", None))
+                      for c in ast.walk(f) if isinstance(c, ast.Call)}
+             for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert sorted(name for name, called in calls.items()
+                  if called & {"write_files", "makedirs"}) == ["_run"]
+
+    def reached(name, seen):
+        for callee in calls.get(name, set()) - seen:
+            seen.add(callee)
+            reached(callee, seen)
+        return seen
+
+    commands = [name for name in calls if name.startswith("cmd_")]
+    assert len(commands) == 6
+    for name in commands:
+        writers = {c for c in reached(name, set()) if c and (
+            c.startswith(("write_", "save_"))
+            or c in {"open", "makedirs", "mkdir", "_emit"})}
+        assert writers == set(), name
+        assert "print" not in calls[name], name
 
 
 def test_runtime_needs_numpy_alone():
