@@ -42,7 +42,6 @@ from .linreg import (
     cross_validated_mse,
     fit_ols,
     predict_linear,
-    r_squared,
 )
 from .formats import (
     load_model,

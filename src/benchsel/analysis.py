@@ -162,13 +162,18 @@ def pearson_matrix(dataset: PreparedDataset) -> CorrelationGraph:
                             n_pairs=counts)
 
 
-def correlated_pairs(graph: CorrelationGraph, threshold: float = 0.9,
-                     top_n: int = 24) -> list[CorrelatedPair]:
-    """Top pairs by PCC, ties by name, tagged when strictly above threshold."""
+def check_pair_limits(threshold: float, top_n: int) -> None:
+    """Reject a threshold outside [0, 1] or a negative top_n."""
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError("threshold must lie in [0, 1]")
     if top_n < 0:
         raise ValidationError("top_n must be >= 0")
+
+
+def correlated_pairs(graph: CorrelationGraph, threshold: float = 0.9,
+                     top_n: int = 24) -> list[CorrelatedPair]:
+    """Top pairs by PCC, ties by name, tagged when strictly above threshold."""
+    check_pair_limits(threshold, top_n)
     names = sorted(graph.environments)
     rank = np.array([names.index(e) for e in graph.environments])
     a, b = np.nonzero(np.triu(np.isfinite(graph.pcc), 1))
@@ -248,6 +253,12 @@ def _welch_two_sided(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return t, _t_two_sided(t, df)
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a significance threshold outside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def fairness_report(reports, alpha: float = 0.05) -> FairnessReport:
     """Split algorithms into performance tertiles and compare their errors.
 
@@ -257,10 +268,8 @@ def fairness_report(reports, alpha: float = 0.05) -> FairnessReport:
     absolute relative errors (accuracy) and on the signed relative errors
     (bias), significant below ``alpha``, which must lie in (0, 1).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    usable = [r for r in reports
-              if r.true_summary is not None and r.relative_error is not None]
+    check_alpha(alpha)
+    usable = [r for r in reports if r.relative_error is not None]
     if len(usable) < 6:
         raise DegenerateDataError(
             f"fairness audit needs at least 6 scored algorithms, got "

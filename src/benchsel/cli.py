@@ -23,6 +23,8 @@ import traceback
 
 from . import __version__, fixtures
 from .analysis import (
+    check_alpha,
+    check_pair_limits,
     correlated_pairs,
     export_dot,
     fairness_report,
@@ -207,11 +209,11 @@ def cmd_search(args) -> tuple:
         (rank, cand.cv_mse, cand.model.stats.r_squared,
          cand.n_algorithms_used, " | ".join(cand.subset))
         for rank, cand in enumerate(result.ranked, start=1)]),
-        "best_model.json": json_text(model_to_dict(
-            best.model, name=name, norms_checksum=checksums["norms"],
-            extra={**provenance(checksums), "target_stat": args.target,
-                   "seed": args.seed, "folds": args.folds,
-                   "n_algorithms_used": best.n_algorithms_used}))}
+        "best_model.json": json_text({**model_to_dict(
+            best.model, name=name, norms_checksum=checksums["norms"]),
+            **provenance(checksums), "target_stat": args.target,
+            "seed": args.seed, "folds": args.folds,
+            "n_algorithms_used": best.n_algorithms_used})}
 
     summary = _model_summary_row(name, best.subset, best.model)
     summary["skip_stats"] = result.skip_stats
@@ -289,7 +291,8 @@ def cmd_pipeline(args) -> tuple:
 
 def _load_model_inputs(args, ignore=()):
     """Load ``--model`` (a file or a shipped model's name), the norms and the
-    scores; a model fitted on other norms warns, or fails under --strict."""
+    scores. A model fitted on other norms fails under --strict, else adds a
+    ``warnings`` entry to the manifest notes returned last."""
     path = args.model
     if not os.path.exists(path):
         path = fixtures.subset_model_path(args.model)
@@ -300,6 +303,7 @@ def _load_model_inputs(args, ignore=()):
                                             ignore)
     checksums = _checksums(args, path)
 
+    notes = {}
     embedded = doc.get("norms_checksum")
     if embedded and embedded != checksums["norms"]:
         message = (f"normalization table checksum {checksums['norms']} does "
@@ -307,9 +311,9 @@ def _load_model_inputs(args, ignore=()):
                    f"({embedded})")
         if getattr(args, "strict", False):
             raise BenchselError(message)
-        print(f"warning: {message}", file=sys.stderr)
+        notes["warnings"] = [message]
 
-    return model, doc, norms, table, values, checksums
+    return model, doc, norms, table, values, checksums, notes
 
 
 def _report_row(r):
@@ -318,8 +322,8 @@ def _report_row(r):
 
 
 def cmd_predict(args) -> tuple:
-    model, model_doc, norms, table, values, checksums = _load_model_inputs(
-        args)
+    model, model_doc, norms, table, values, checksums, notes = \
+        _load_model_inputs(args)
     truths = values.get(args.true_summary, {}) if args.true_summary else {}
     used = sorted({j for j in map(table.index.get, model.environment_ids)
                    if j is not None})
@@ -360,7 +364,7 @@ def cmd_predict(args) -> tuple:
     lines = []
     for r in reports:
         line = f"{r.algorithm_id}: predicted {r.predicted_summary:.1f}"
-        if r.true_summary is not None and r.relative_error is not None:
+        if r.relative_error is not None:
             line += (f" (true {r.true_summary:.1f}, "
                      f"rel err {r.relative_error:+.1%})")
         elif r.true_summary is not None:
@@ -371,8 +375,8 @@ def cmd_predict(args) -> tuple:
     if inversions is not None:
         lines.append(f"ranking inversions vs truth: {inversions}")
     return files, (detail, lines), {
-        "input_checksums": checksums,
-        "notes": {"rows": len(reports), "row_errors": len(row_errors)}}
+        "input_checksums": checksums, "notes": {
+            **notes, "rows": len(reports), "row_errors": len(row_errors)}}
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +403,7 @@ def cmd_analyze_rank_single(args) -> tuple:
 
 
 def cmd_analyze_correlate(args) -> tuple:
+    check_pair_limits(args.threshold, args.top)  # before the load
     dataset = _load_dataset(args)
     categories = load_categories(args.categories) if args.categories else None
     checksums = _checksums(args)
@@ -423,7 +428,8 @@ def cmd_analyze_correlate(args) -> tuple:
 
 
 def cmd_analyze_fairness(args) -> tuple:
-    model, _, norms, table, values, checksums = _load_model_inputs(
+    check_alpha(args.alpha)  # before the load
+    model, _, norms, table, values, checksums, notes = _load_model_inputs(
         args, _split_csv_flag(args.ignore_columns))
 
     if args.true_summary:
@@ -452,7 +458,7 @@ def cmd_analyze_fairness(args) -> tuple:
                else "no significant differences")
     lines.append(f"{verdict} at p={report.alpha}")
     return {"fairness.json": json_text(doc)}, (doc, lines), {
-        "input_checksums": checksums}
+        "input_checksums": checksums, "notes": notes}
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +579,8 @@ def _run(args) -> int:
             "tool_version": __version__, "seed": None, "workers": None,
             "notes": {}, **run,  # input checksums, seed, workers, notes
             "wall_time_s": round(time.time() - started, 3)})})
+        for warning in run.get("notes", {}).get("warnings", ()):
+            print(f"warning: {warning}", file=sys.stderr)
         _emit(args, doc, lines)
         return 0
     except (BenchselError, OSError) as exc:

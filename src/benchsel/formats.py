@@ -112,10 +112,9 @@ def provenance(checksums: dict[str, str]) -> dict:
 # Models, banks and suites.
 
 def model_to_dict(model: LinearModel, *, name: str | None = None,
-                  norms_checksum: str | None = None,
-                  extra: dict | None = None) -> dict:
+                  norms_checksum: str | None = None) -> dict:
     """Serializable form of a model, numbers at full decimal precision."""
-    doc = {
+    return {
         "format": MODEL_FORMAT,
         "name": name,
         "environment_ids": list(model.environment_ids),
@@ -125,9 +124,6 @@ def model_to_dict(model: LinearModel, *, name: str | None = None,
         "stats": asdict(model.stats),
         "norms_checksum": norms_checksum,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def bank_to_dict(bank: ModelBank, *, name: str | None = None,
@@ -266,10 +262,9 @@ def load_bank(path) -> tuple[ModelBank, dict]:
 
 
 def save_model(path, model: LinearModel, *, name: str | None = None,
-               norms_checksum: str | None = None,
-               extra: dict | None = None) -> None:
+               norms_checksum: str | None = None) -> None:
     write_text(path, json_text(model_to_dict(
-        model, name=name, norms_checksum=norms_checksum, extra=extra)))
+        model, name=name, norms_checksum=norms_checksum)))
 
 
 # ---------------------------------------------------------------------------

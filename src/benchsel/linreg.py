@@ -25,6 +25,9 @@ search can fit). Both give bit-identical results. Either way the systems
 reach the solver stack last, (C, C + 1, candidates, folds), in an array
 of their own that it eliminates in place.
 
+A fitted model is evaluated in one place, ``LinearModel.predict``: fits,
+predictions and a bank's explained variance all go through it.
+
 This module alone owns the design and fold layouts. ``_as_design`` checks
 every fit before it is solved, and ``_augmented`` lays out [X | 1 | t] for
 fits and searches alike. A table's n usable rows are dealt into folds by
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +96,10 @@ class LinearModel:
     @property
     def n_environments(self) -> int:
         return len(self.environment_ids)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Log-score predictions over the last axis of 1-D or 2-D ``x``."""
+        return x @ self.coefficients + (self.intercept or 0.0)
 
 
 def _chol_solve_batched(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,19 +195,12 @@ def fit_ols(X, t, with_intercept: bool = False,
     beta, bad = _chol_solve_batched(np.ascontiguousarray(A[:, :-1]).T @ A)
     if bad != -1:
         raise SingularMatrixError(names[bad])
-    coef, intercept = beta[:n], float(beta[-1]) if with_intercept else None
-    predictions = A[:, :n] @ coef + (intercept or 0.0)
-    return LinearModel(names[:n], coef, intercept, FitStats(
+    model = LinearModel(names[:n], beta[:n],
+                        float(beta[-1]) if with_intercept else None)
+    predictions = model.predict(A[:, :n])
+    return replace(model, stats=FitStats(
         r_squared=_r2(predictions, A[:, -1]),
         log_mae=float(np.abs(A[:, -1] - predictions).mean())))
-
-
-def r_squared(model: LinearModel, X, t) -> float:
-    """1 - SS_res/SS_tot with SS_tot about mean(t); 0 when SS_tot is 0.
-    ``X`` and ``t`` must form a design ``fit_ols`` could fit the model to."""
-    A, _ = _as_design(X, t, model.intercept is not None, model.environment_ids)
-    predictions = A[:, :model.n_environments] @ model.coefficients
-    return _r2(predictions + (model.intercept or 0.0), A[:, -1])
 
 
 def _fold_sizes(rows, folds: int) -> np.ndarray:
@@ -404,7 +404,7 @@ def cross_validated_mse(X, t, folds: int, seed: int,
 
 
 def predict_linear(model: LinearModel, x) -> float:
-    """Evaluate ``intercept + sum(coefficients * x)`` in log-score units.
+    """``model.predict`` of one input, in log-score units.
 
     ``x`` is either a mapping from environment name (matched
     case/punctuation-insensitively) to log score, or a sequence already
@@ -422,4 +422,4 @@ def predict_linear(model: LinearModel, x) -> float:
         env = model.environment_ids[gap[0]]
         raise EnvironmentLookupError(
             env, f"missing log score for environment {env!r}")
-    return float((model.intercept or 0.0) + model.coefficients @ vec)
+    return float(model.predict(vec))

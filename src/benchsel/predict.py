@@ -1,8 +1,10 @@
 """Apply fitted subset models to raw scores and measure their error.
 
 The prediction path is the full chain raw score -> normalized score ->
-log score -> linear model -> inverse transform, so callers hand in raw
-game scores and read off a summary estimate in normalized-score units.
+log score -> ``LinearModel.predict`` -> inverse transform, so callers hand
+in raw game scores and read off a summary estimate in normalized-score
+units. A report stores its predicted and true summaries; its relative
+error is derived from them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .data import NormalizationTable, RawScoreTable, inverse_log_transform, \
     log_transform
 from .errors import EnvironmentLookupError, UndefinedRelativeError, \
     ValidationError
-from .linreg import LinearModel, predict_linear
+from .linreg import LinearModel
 
 TRUE_VALUE_FLOOR = 1e-9
 
@@ -33,14 +35,19 @@ class PredictionReport:
     algorithm_id: str
     predicted_summary: float
     true_summary: float | None = None
-    relative_error: float | None = None
     inputs_used: dict[str, float] | None = None
 
     @property
-    def abs_relative_error(self) -> float | None:
-        if self.relative_error is None:
+    def relative_error(self) -> float | None:
+        truth = self.true_summary
+        if truth is None or abs(truth) <= TRUE_VALUE_FLOOR:
             return None
-        return abs(self.relative_error)
+        return relative_error(truth, self.predicted_summary)
+
+    @property
+    def abs_relative_error(self) -> float | None:
+        rel = self.relative_error
+        return None if rel is None else abs(rel)
 
 
 def predict_summary(model: LinearModel, raw_scores, norms: NormalizationTable):
@@ -71,7 +78,7 @@ def predict_summary(model: LinearModel, raw_scores, norms: NormalizationTable):
         fault[np.isnan(x[:, j]), j] = EnvironmentLookupError(
             game, f"missing raw score for environment {game!r}")
     return [next((e for e in faults if e is not None), None)
-            or float(inverse_log_transform(predict_linear(model, logs)))
+            or float(inverse_log_transform(model.predict(logs)))
             for faults, logs in zip(fault, log_transform(x))]
 
 
@@ -132,15 +139,11 @@ def make_report(algorithm_id: str, predicted: float,
                 true_summary: float | None = None,
                 inputs_used: dict[str, float] | None = None
                 ) -> PredictionReport:
-    """Assemble a report, attaching relative error when it is defined."""
-    rel = None
-    if true_summary is not None and abs(true_summary) > TRUE_VALUE_FLOOR:
-        rel = relative_error(true_summary, predicted)
+    """Assemble a report; its relative error derives from the summaries."""
     return PredictionReport(
         algorithm_id=algorithm_id,
         predicted_summary=predicted,
         true_summary=true_summary,
-        relative_error=rel,
         inputs_used=dict(inputs_used) if inputs_used else None,
     )
 

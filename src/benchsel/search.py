@@ -709,8 +709,7 @@ def variance_explained(bank: ModelBank, dataset: PreparedDataset) -> float:
         if len(rows) < 2:
             continue
         y = X[rows, g]
-        predictions = (X[np.ix_(rows, cols)] @ model.coefficients
-                       + (model.intercept or 0.0))
+        predictions = model.predict(X[np.ix_(rows, cols)])
         ss_res += float(((y - predictions) ** 2).sum())
         ss_tot += float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:

@@ -639,6 +639,25 @@ class TestPredictCommand:
                   "--norms", norms, "--strict", "--out", tmp / "w2"])
         assert rc == 1
 
+    def test_checksum_mismatch_is_noted_and_printed_by_run(self, toy_inputs,
+                                                          capsys):
+        # The warning reaches the manifest and one stderr line, even under
+        # --quiet; a run that fails prints its error alone.
+        scores, norms, tmp = toy_inputs
+        model_path = tmp / "m.json"
+        self._write_model(model_path, norms, checksum="sha256:bogus")
+        argv = ["predict", "--model", model_path, "--scores", scores,
+                "--norms", norms, "--true-summary", "truecol", "--quiet"]
+        assert run([*argv, "--baseline", "nobody", "--out", tmp / "f"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "nobody" in err[0], err
+        assert run([*argv, "--out", tmp / "w"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: "), err
+        manifest = json.loads((tmp / "w" / "manifest.json").read_text())
+        assert manifest["notes"]["warnings"] == [err[0][len("warning: "):]]
+        assert "sha256:bogus" in err[0]
+
     def test_zero_truth_row_survives(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         scores.write_text("algorithm,g1,truth\na1,50.0,0\na2,80.0,75.0\n")
@@ -795,6 +814,20 @@ class TestAnalyzeCommands:
                         "--out", out, "--quiet"]) == 0
             outputs.append((out / "fairness.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flags,message", [
+        (["correlate", "--top", "-1"], "top_n must be >= 0"),
+        (["correlate", "--threshold", "2"], "threshold must lie in [0, 1]"),
+        (["fairness", "--model", "atari5", "--alpha", "0"],
+         "alpha must lie in (0, 1), got 0.0"),
+    ], ids=["top", "threshold", "alpha"])
+    def test_bad_flag_reported_before_the_load(self, tmp_path, capsys, flags,
+                                               message):
+        rc = run(["analyze", *flags, "--scores", tmp_path / "missing.csv",
+                  "--out", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"benchsel: error: {message}"]
 
     @pytest.mark.parametrize("alpha", ["7", "nan", "-1", "0", "1"])
     def test_fairness_bad_alpha_exits_one_with_one_line(self, toy_inputs,

@@ -24,7 +24,6 @@ from benchsel.linreg import (
     cross_validated_mse,
     fit_ols,
     predict_linear,
-    r_squared,
 )
 from conftest import cholesky_reference, lstsq_cv_mse
 
@@ -188,18 +187,21 @@ class TestFitOls:
             fit_ols(np.ones((40, 17)), np.ones(40))
 
 
-class TestRSquared:
-    def test_perfect_predictions(self):
-        X = np.arange(1.0, 6.0)[:, None]
-        t = 2.0 * X[:, 0]
-        model = fit_ols(X, t)
-        assert r_squared(model, X, t) == pytest.approx(1.0, abs=1e-12)
-
-    def test_mean_predictor_scores_zero(self):
-        t = np.array([1.0, 2.0, 3.0, 4.0])
-        model = LinearModel(("x0",), np.array([0.0]), intercept=float(t.mean()))
-        X = np.ones((4, 1))
-        assert r_squared(model, X, t) == pytest.approx(0.0, abs=1e-12)
+class TestLinearModelPredict:
+    @pytest.mark.parametrize("intercept", [None, 0.0, -0.37])
+    def test_matches_the_expressions_it_replaced_bit_for_bit(self, intercept):
+        # 2-D as fit_ols and variance_explained wrote it, 1-D as
+        # predict_linear did, on row views as predict_summary passes them.
+        rng = np.random.default_rng(7)
+        for cols in (1, 3, 5, 10, 16):
+            model = LinearModel(tuple(f"g{j}" for j in range(cols)),
+                                rng.normal(size=cols), intercept)
+            X = rng.uniform(0.0, 4.0, size=(40, cols))
+            expected = X @ model.coefficients + (intercept or 0.0)
+            assert model.predict(X).tobytes() == expected.tobytes()
+            for row in X:
+                old = (intercept or 0.0) + model.coefficients @ row
+                assert model.predict(row).tobytes() == old.tobytes()
 
 
 class TestCrossValidatedMse:
@@ -330,13 +332,6 @@ def test_designs_are_checked_before_they_are_solved(seed, cols, with_intercept,
         with pytest.raises(SingularMatrixError) as cv_err:
             cross_validated_mse(X, t, 5, seed, with_intercept)
         assert fit_err.value.column == cv_err.value.column == f"x{cols - 1}"
-    # r_squared takes one target value per row, as a fit does.
-    model = LinearModel(tuple(f"x{j}" for j in range(cols)), np.ones(cols),
-                        0.5 if with_intercept else None)
-    bad_t = data.draw(st.sampled_from(
-        [t[:, None], t[:-1], np.append(t, 0.0), np.stack([t, t])]))
-    with pytest.raises(ValidationError):
-        r_squared(model, X, bad_t)
 
 
 class TestPredictLinear:

@@ -19,6 +19,8 @@ from benchsel.errors import (
 )
 from benchsel.linreg import LinearModel
 from benchsel.predict import (
+    TRUE_VALUE_FLOOR,
+    PredictionReport,
     approx_relative_error_from_log_mae,
     inversion_count,
     make_report,
@@ -318,3 +320,18 @@ class TestMakeReport:
         assert without.relative_error is None
         near_zero = make_report("c", 50.0, true_summary=0.0)
         assert near_zero.relative_error is None
+
+    def test_report_derives_its_relative_error_from_its_fields(self):
+        # The error is a property of the two summaries, so a report built
+        # from its fields alone agrees with make_report's, bit for bit.
+        for truth in (40.0, -3.5, 1e-3, 2 * TRUE_VALUE_FLOOR, None, 0.0,
+                      TRUE_VALUE_FLOOR, -1e-12):
+            report = PredictionReport("a", 50.3, truth)
+            made = make_report("a", 50.3, true_summary=truth)
+            assert report == made
+            if truth is None or abs(truth) <= TRUE_VALUE_FLOOR:
+                assert report.relative_error is None
+                assert report.abs_relative_error is None
+            else:
+                assert report.relative_error == made.relative_error == \
+                    relative_error(truth, 50.3)
